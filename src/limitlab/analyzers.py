@@ -13,25 +13,22 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UndecidableDensity, UnsupportedIntersection
+from .errors import UndecidableDensity
 from .sets import (
-    CantorAffine,
-    EmptySet,
+    COUNTABLE_KINDS,
+    NULL_KINDS,
     FinitePoints,
     Interval,
     IntervalFamily,
     LocalTrace,
     Piece,
-    RationalsIn,
-    Sequence,
     SetExpr,
     _family_member_containing,
     _family_reflect,
+    _monotone_first,
     _normal,
-    family_hull,
     family_tail_info,
     piece_reaches,
-    window_trace,
 )
 from .terms import Term
 
@@ -135,11 +132,19 @@ def family_tail_measure(fam: IntervalFamily, target_gap: Q = Q(1, 2**40)) -> tup
 
 def measure(expr: SetExpr, target_gap: Q = Q(1, 2**40)) -> MeasureValue:
     """Lebesgue measure of the expression, exact where possible."""
-    normal = _normal(expr)
+    return _pieces_measure(_normal(expr).pieces, target_gap)
+
+
+def trace_measure(trace: LocalTrace) -> MeasureValue:
+    """Measure of the window set represented by a trace."""
+    return _pieces_measure(trace.all_pieces())
+
+
+def _pieces_measure(pieces: tuple[Piece, ...], target_gap: Q = Q(1, 2**40)) -> MeasureValue:
     value = Q(0)
     gap = Q(0)
     infinite = False
-    for piece in normal.pieces:
+    for piece in pieces:
         core = piece.core
         if isinstance(core, Interval):
             length = core.length()
@@ -156,7 +161,7 @@ def measure(expr: SetExpr, target_gap: Q = Q(1, 2**40)) -> MeasureValue:
             m_lo, m_hi = family_tail_measure(core, target_gap)
             value += (m_lo + m_hi) / 2
             gap += (m_hi - m_lo) / 2
-        # points, rationals, Cantor images and sequences all have measure zero
+        # every other kind has measure zero
     return MeasureValue(value, True, gap, infinite)
 
 
@@ -173,12 +178,12 @@ def cardinality_of_pieces(pieces: tuple[Piece, ...]) -> CardinalityClass:
     countable = False
     for piece in pieces:
         core = piece.core
-        if isinstance(core, (Interval, CantorAffine, IntervalFamily)):
-            return CARD_UNCOUNTABLE
-        if isinstance(core, RationalsIn) or isinstance(core, Sequence):
+        if core.kind in COUNTABLE_KINDS:
             countable = True
         elif isinstance(core, FinitePoints):
             count += len(core.points)
+        else:
+            return CARD_UNCOUNTABLE
     if countable:
         return CARD_COUNTABLE
     return card_finite(count)
@@ -288,9 +293,7 @@ def _member_interval_at(fam: IntervalFamily, a: Q) -> Interval | None:
     n = _family_member_containing(work, a_eff)
     if n is None:
         # closed-edge touch: scan the two candidate neighbours
-        from .sets import _monotone_first_le
-
-        m = _monotone_first_le(work.hi, work.start, a_eff)
+        m = _monotone_first(work.hi, work.start, a_eff)
         for cand in {m, None if m is None else m - 1, work.start}:
             if cand is None or cand < work.start:
                 continue
@@ -326,7 +329,7 @@ def density_at(expr: SetExpr, a) -> DensityVerdict:
         if not piece_reaches(piece, a):
             continue
         core = piece.core
-        if isinstance(core, (RationalsIn, Sequence, CantorAffine)):
+        if core.kind in NULL_KINDS:
             continue  # measure-zero germ
         if isinstance(core, Interval):
             l_cov, r_cov = _interval_side_cover(core, a)
@@ -375,23 +378,3 @@ def density_at(expr: SetExpr, a) -> DensityVerdict:
     if base > 0:
         return DensityVerdict("value", value=base)
     return DENSITY_ZERO
-
-
-def trace_measure(trace: LocalTrace) -> MeasureValue:
-    """Measure of the window set represented by a trace."""
-    total = Q(0)
-    gap = Q(0)
-    for piece in trace.all_pieces():
-        core = piece.core
-        if isinstance(core, Interval):
-            total += core.length()
-            for r in piece.removals:
-                if isinstance(r, IntervalFamily):
-                    m_lo, m_hi = family_tail_measure(r)
-                    total -= (m_lo + m_hi) / 2
-                    gap += (m_hi - m_lo) / 2
-        elif isinstance(core, IntervalFamily):
-            m_lo, m_hi = family_tail_measure(core)
-            total += (m_lo + m_hi) / 2
-            gap += (m_hi - m_lo) / 2
-    return MeasureValue(total, True, gap)

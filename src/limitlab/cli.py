@@ -19,12 +19,10 @@ from fractions import Fraction
 from .analyzers import cardinality, density_at, measure
 from .decompose import decompose, verify_decomposition
 from .dsl import fn_to_text, parse_fn, parse_rational, parse_set, rat_text, set_to_text
-from .errors import LimitLabError, UndecidableDensity, UnsupportedIntersection
+from .errors import LimitLabError, UndecidableDensity
 from .limits import LimitType, check, classify, uniqueness_precondition
-from .oracle import SampleConfig, density_profile, mc_measure
-from .sets import FULL_LINE, open_interval, rationals_in, window_trace, cantor_affine
-from .terms import Term
-from .sets import family
+from .oracle import SampleConfig, mc_measure
+from .sets import FULL_LINE, open_interval, rationals_in, window_trace
 
 Q = Fraction
 

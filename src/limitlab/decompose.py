@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from .analyzers import cardinality, trace_measure
 from .errors import PrerequisiteNotMet, UnsupportedIntersection
-from .functions import PiecewiseFn, fn_eval, fn_sub, nonzero_set
-from .limits import LimitType, Verdict, check, _test_epsilons, _carrier, _witness_delta
+from .functions import PiecewiseFn, fn_eval, fn_sub, nonzero_set, punctured_window
+from .limits import LimitType, check, _carrier
 from .poly import Poly
-from .sets import EmptySet, SetExpr, Union, normalize, window_trace
+from .sets import EmptySet, Intersection, SetExpr, Union, normalize, window_trace
 from .sampling import sample_points
 
 Q = Fraction
@@ -45,26 +45,15 @@ def decompose(f: PiecewiseFn, a, L, t: LimitType) -> Decomposition:
     if not verdict.passed():
         raise PrerequisiteNotMet(f"no type-{t.value} limit {L} at {a}: {verdict.evidence}")
 
-    # eps bands in decreasing order; window radii forced nonincreasing so
-    # the first (largest) radius bounds every later one
-    eps_list = sorted(_test_epsilons(f, a, L), reverse=True)
-    pairs = []
-    running = None
-    for eps in eps_list:
-        carrier = _carrier(f, L, eps)
-        delta = _witness_delta(carrier.outer, a, t)
-        if delta is None:
-            raise PrerequisiteNotMet("no window radius certifies the exceptional set")
-        running = delta if running is None else min(running, delta)
-        pairs.append((eps, running, carrier))
-    delta0 = pairs[0][1]
-
+    # the verdict's (eps, delta) witnesses in decreasing eps order; window
+    # radii forced nonincreasing so the first (largest) radius bounds every
+    # later one
+    witness = sorted(verdict.witness, reverse=True)
+    delta0 = running = witness[0][1]
     parts = []
-    for eps, delta, carrier in pairs:
-        from .functions import punctured_window
-        from .sets import Intersection
-
-        clipped = normalize(Intersection((carrier.outer, punctured_window(a, delta))))
+    for eps, delta in witness:
+        running = min(running, delta)
+        clipped = normalize(Intersection((_carrier(f, L, eps).outer, punctured_window(a, running))))
         if not isinstance(clipped, EmptySet):
             parts.append(clipped)
     union = normalize(Union(tuple(parts))) if parts else normalize(Union(()))

@@ -24,7 +24,6 @@ from .sets import (
     FULL_LINE,
     Difference,
     EmptySet,
-    FinitePoints,
     Intersection,
     Interval,
     SetExpr,
@@ -54,10 +53,6 @@ def piecewise(branches, default, domain: SetExpr = FULL_LINE) -> PiecewiseFn:
     return PiecewiseFn(domain, tuple((g, Poly.make(p.coeffs) if isinstance(p, Poly) else p) for g, p in branches), default)
 
 
-def constant_fn(value, domain: SetExpr = FULL_LINE) -> PiecewiseFn:
-    return PiecewiseFn(domain, (), Poly.const(value))
-
-
 def indicator_fn(guard: SetExpr, domain: SetExpr = FULL_LINE) -> PiecewiseFn:
     """1 on the guard, 0 elsewhere."""
     return PiecewiseFn(domain, ((guard, Poly.const(1)),), Poly.const(0))
@@ -74,11 +69,6 @@ class SandwichSet:
     @property
     def exact(self) -> bool:
         return self.gap == 0 and self.inner == self.outer
-
-
-def exact_sandwich(expr: SetExpr) -> SandwichSet:
-    n = normalize(expr)
-    return SandwichSet(n, n, Q(0))
 
 
 def fn_eval(f: PiecewiseFn, x) -> Q:
@@ -184,25 +174,34 @@ def punctured_window(a, delta) -> SetExpr:
     return Union((Interval(a - delta, a, False, False), Interval(a, a + delta, False, False)))
 
 
-def exceptional_set(f: PiecewiseFn, a, L, delta, eps, width: Q = DEFAULT_ROOT_WIDTH) -> SandwichSet:
-    """Sandwich of {x in punctured window ∩ domain : |f(x) - L| >= eps}."""
-    a, L, delta, eps = Q(a), Q(L), Q(delta), Q(eps)
-    if delta <= 0 or eps <= 0:
-        raise ValueError("delta and eps must be positive")
-    window = punctured_window(a, delta)
+def superlevel_sandwich(
+    f: PiecewiseFn, L: Q, eps: Q, window: SetExpr | None = None, width: Q = DEFAULT_ROOT_WIDTH
+) -> SandwichSet:
+    """Sandwich of {x in domain : |f(x) - L| >= eps}, clipped to the window
+    when one is given."""
+    clip = () if window is None else (window,)
     inner_parts = []
     outer_parts = []
     gap = Q(0)
     for region, p in effective_regions(f):
         sl = isolate_superlevel(p, L, eps, width)
-        if isinstance(sl.inner, EmptySet) and isinstance(sl.outer, EmptySet):
+        if isinstance(sl.outer, EmptySet):
             continue
-        inner_parts.append(Intersection((region, sl.inner, window)))
-        outer_parts.append(Intersection((region, sl.outer, window)))
+        if not isinstance(sl.inner, EmptySet):
+            inner_parts.append(Intersection((region, sl.inner) + clip))
+        outer_parts.append(Intersection((region, sl.outer) + clip))
         gap += sl.gap
     inner = normalize(Union(tuple(inner_parts))) if inner_parts else EMPTY
     outer = normalize(Union(tuple(outer_parts))) if outer_parts else EMPTY
     return SandwichSet(inner, outer, gap)
+
+
+def exceptional_set(f: PiecewiseFn, a, L, delta, eps, width: Q = DEFAULT_ROOT_WIDTH) -> SandwichSet:
+    """Sandwich of {x in punctured window ∩ domain : |f(x) - L| >= eps}."""
+    a, L, delta, eps = Q(a), Q(L), Q(delta), Q(eps)
+    if delta <= 0 or eps <= 0:
+        raise ValueError("delta and eps must be positive")
+    return superlevel_sandwich(f, L, eps, punctured_window(a, delta), width)
 
 
 def nonzero_set(f: PiecewiseFn, width: Q = DEFAULT_ROOT_WIDTH) -> SandwichSet:

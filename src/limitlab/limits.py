@@ -17,34 +17,22 @@ side, Fail on the inner side.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .analyzers import density_at
 from .errors import UndecidableDensity, UnsupportedIntersection
-from .functions import (
-    PiecewiseFn,
-    SandwichSet,
-    effective_regions,
-    isolate_superlevel,
-)
-from .poly import Poly
+from .functions import PiecewiseFn, SandwichSet, effective_regions, superlevel_sandwich
 from .sets import (
-    EmptySet,
-    CantorAffine,
-    FinitePoints,
-    Intersection,
+    COUNTABLE_KINDS,
+    NULL_KINDS,
     Interval,
     IntervalFamily,
     Piece,
-    RationalsIn,
-    Sequence,
     SetExpr,
-    Union,
     _normal,
     family_tail_info,
-    normalize,
     piece_reaches,
     vanish_radius,
 )
@@ -105,48 +93,20 @@ def candidates(f: PiecewiseFn, a) -> tuple[Q, ...]:
 @lru_cache(maxsize=None)
 def _carrier(f: PiecewiseFn, L: Q, eps: Q) -> SandwichSet:
     """Sandwich of {x in domain : |f(x) - L| >= eps} (no window applied)."""
-    inner_parts = []
-    outer_parts = []
-    gap = Q(0)
-    for region, p in effective_regions(f):
-        sl = isolate_superlevel(p, L, eps)
-        if isinstance(sl.outer, EmptySet):
-            continue
-        if not isinstance(sl.inner, EmptySet):
-            inner_parts.append(Intersection((region, sl.inner)))
-        outer_parts.append(Intersection((region, sl.outer)))
-        gap += sl.gap
-    from .sets import EMPTY
-
-    inner = normalize(Union(tuple(inner_parts))) if inner_parts else EMPTY
-    outer = normalize(Union(tuple(outer_parts))) if outer_parts else EMPTY
-    return SandwichSet(inner, outer, gap)
+    return superlevel_sandwich(f, L, eps)
 
 
-_SMALL_KINDS = {
-    LimitType.T1: frozenset(),
-    LimitType.T3: frozenset(),
-    LimitType.T4: frozenset(),
-    LimitType.T5: frozenset({"rationals", "sequence"}),
-    LimitType.T6: frozenset({"rationals", "sequence", "cantor"}),
-}
+# atom kinds a small germ may contain, by limit type (T2 is decided by density)
+_SMALL_KINDS = {LimitType.T5: COUNTABLE_KINDS, LimitType.T6: NULL_KINDS}
 
 
 def _piece_kind(piece: Piece, a: Q) -> str:
+    """Kind of the piece's germ at a: a family tail reaches any point other
+    than its limit through one member, like an interval."""
     core = piece.core
-    if isinstance(core, Interval):
-        return "solid"
-    if isinstance(core, FinitePoints):
-        return "points"
-    if isinstance(core, RationalsIn):
-        return "rationals"
-    if isinstance(core, CantorAffine):
-        return "cantor"
-    if isinstance(core, Sequence):
-        return "sequence"
-    if isinstance(core, IntervalFamily):
-        return "family" if family_tail_info(core).limit == a else "solid"
-    raise AssertionError
+    if isinstance(core, IntervalFamily) and family_tail_info(core).limit != a:
+        return Interval.kind
+    return core.kind
 
 
 def _reaching_kinds(expr: SetExpr, a: Q) -> set[str]:
@@ -164,15 +124,14 @@ def _germ_small(expr: SetExpr, a: Q, t: LimitType) -> bool | None:
             return density_at(expr, a).is_zero()
         except UndecidableDensity:
             return None
-    reaching = _reaching_kinds(expr, a)
-    return reaching <= _SMALL_KINDS[t]
+    return _reaching_kinds(expr, a) <= _SMALL_KINDS.get(t, frozenset())
 
 
 def _witness_delta(expr: SetExpr, a: Q, t: LimitType) -> Q | None:
     """A concrete radius at which the trace of expr is t-small."""
     if t is LimitType.T2:
         return Q(1)
-    allowed = _SMALL_KINDS[t]
+    allowed = _SMALL_KINDS.get(t, frozenset())
     blockers = tuple(
         p for p in _normal(expr).pieces if _piece_kind(p, a) not in allowed
     )
@@ -244,53 +203,46 @@ def _persistent_values(f: PiecewiseFn, a: Q, t: LimitType) -> set[Q]:
     return values
 
 
-def check_function_limit(f: PiecewiseFn, a, L) -> Verdict:
-    """Classical limit check (T1)."""
-    return check(f, a, L, LimitType.T1)
-
-
 def classify(f: PiecewiseFn, a) -> LimitReport:
-    """Run every type over every candidate value and assemble the report."""
+    """Run every type over every candidate value and assemble the report.
+
+    The types of one CHAIN group are equivalent, so each group is checked
+    once and its result stands for all of its types.
+    """
     a = Q(a)
     cands = candidates(f, a)
-    matrix = {}
-    for t in LimitType:
-        for L in cands:
-            matrix[(t, L)] = check(f, a, L, t).status
+    statuses = {}
     outcomes = {}
-    for t in LimitType:
-        passing = [L for L in cands if matrix[(t, L)] == "pass"]
+    for group in CHAIN:
+        t = group[0]
+        status = {L: check(f, a, L, t).status for L in cands}
+        passing = [L for L in cands if status[L] == "pass"]
         if passing:
-            outcomes[t] = TypeOutcome("yes", passing[0])
-        elif any(matrix[(t, L)] == "undecidable" for L in cands):
-            outcomes[t] = TypeOutcome("undecidable", None)
+            outcome = TypeOutcome("yes", passing[0])
+        elif "undecidable" in status.values():
+            outcome = TypeOutcome("undecidable", None)
         else:
             try:
                 persistent = _persistent_values(f, a, t)
             except UnsupportedIntersection:
                 persistent = set()
-            if len(persistent) >= 2:
-                outcomes[t] = TypeOutcome("no", None)
-            else:
-                outcomes[t] = TypeOutcome("undecidable", None)
+            outcome = TypeOutcome("no" if len(persistent) >= 2 else "undecidable", None)
+        for member in group:
+            statuses[member] = status
+            outcomes[member] = outcome
+    matrix = {(t, L): statuses[t][L] for t in LimitType for L in cands}
+    outcomes = {t: outcomes[t] for t in LimitType}
     chain_ok = _chain_consistent(matrix, cands)
     return LimitReport(a, outcomes, chain_ok, cands, matrix)
 
 
 def _chain_consistent(matrix, cands) -> bool:
+    """Passing a stronger group must propagate to every weaker group."""
     for L in cands:
-        # equivalence of the first group
-        group = [matrix[(t, L)] for t in CHAIN[0]]
-        decided = [s for s in group if s != "undecidable"]
-        if "pass" in decided and "fail" in decided:
-            return False
-        # passing a stronger group must propagate to weaker groups
         for i, stronger in enumerate(CHAIN):
             for weaker in CHAIN[i + 1 :]:
-                for ts in stronger:
-                    for tw in weaker:
-                        if matrix[(ts, L)] == "pass" and matrix[(tw, L)] == "fail":
-                            return False
+                if matrix[(stronger[0], L)] == "pass" and matrix[(weaker[0], L)] == "fail":
+                    return False
     return True
 
 
@@ -300,8 +252,6 @@ def uniqueness_precondition(domain: SetExpr, a, t: LimitType) -> bool:
     T5: every punctured window around a must be uncountable; T6: every
     punctured window must have positive measure.
     """
-    a = Q(a)
     if t not in (LimitType.T5, LimitType.T6):
         raise ValueError("uniqueness characterization applies to T5 and T6 only")
-    big_kinds = {"solid", "cantor", "family"} if t is LimitType.T5 else {"solid", "family"}
-    return bool(_reaching_kinds(domain, a) & big_kinds)
+    return _germ_small(domain, Q(a), t) is False

@@ -87,17 +87,6 @@ class Poly:
             return Poly(())
         return Poly(tuple(c * k for c in self.coeffs))
 
-    def shift_arg(self, s) -> "Poly":
-        """p(x + s)."""
-        s = _as_q(s)
-        acc = Poly(())
-        base = Poly.make([s, 1])
-        power = Poly.const(1)
-        for c in self.coeffs:
-            acc = acc + power.scale(c)
-            power = power * base
-        return acc
-
     def derivative(self) -> "Poly":
         return Poly.make(c * i for i, c in enumerate(self.coeffs) if i >= 1)
 

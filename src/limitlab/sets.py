@@ -15,7 +15,7 @@ the limit engine needs to certify failure verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,6 +59,9 @@ class Interval(SetExpr):
     is nondegenerate.
     """
 
+    kind = "solid"
+    rank = 0
+
     lo: Q | None
     hi: Q | None
     lo_incl: bool
@@ -85,6 +88,9 @@ FULL_LINE = Interval(None, None, False, False)
 
 @dataclass(frozen=True)
 class FinitePoints(SetExpr):
+    kind = "points"
+    rank = 1
+
     points: tuple[Q, ...]  # sorted, distinct
 
     def contains(self, x: Q) -> bool:
@@ -93,6 +99,9 @@ class FinitePoints(SetExpr):
 
 @dataclass(frozen=True)
 class RationalsIn(SetExpr):
+    kind = "rationals"
+    rank = 2
+
     iv: Interval
 
     def contains(self, x: Q) -> bool:
@@ -108,6 +117,9 @@ class CantorAffine(SetExpr):
     has uncountably many points (degenerate leftovers become FinitePoints
     at construction).
     """
+
+    kind = "cantor"
+    rank = 3
 
     offset: Q
     scale: Q
@@ -132,6 +144,9 @@ class CantorAffine(SetExpr):
 class Sequence(SetExpr):
     """{term(n) : n >= start}; the term is non-constant."""
 
+    kind = "sequence"
+    rank = 4
+
     term: Term
     start: int
 
@@ -151,6 +166,9 @@ class IntervalFamily(SetExpr):
     """Union over n >= start of the intervals [lo(n), hi(n)] (flags chosen
     by lo_incl/hi_incl).  Requires lo(n) <= hi(n) for every index."""
 
+    kind = "family"
+    rank = 5
+
     lo: Term
     hi: Term
     lo_incl: bool
@@ -165,6 +183,14 @@ class IntervalFamily(SetExpr):
             if _atom_contains(core, x) and all(not _atom_contains(r, x) for r in removals):
                 return True
         return tail is not None and tail.contains(x)
+
+
+# The germ facts that depend on an atom's kind alone: which kinds are
+# countably infinite and which have measure zero.  Finite point sets are
+# countable and null too, but they never accumulate, so they are in neither
+# set: the limit checker keeps them as blockers when it picks a radius.
+COUNTABLE_KINDS = frozenset({RationalsIn.kind, Sequence.kind})
+NULL_KINDS = COUNTABLE_KINDS | {CantorAffine.kind}
 
 
 @dataclass(frozen=True)
@@ -579,39 +605,11 @@ def _seq_parts(seq: Sequence) -> tuple[tuple[Q, ...], Sequence | None]:
     return tuple(sorted(head)), tail
 
 
-def _monotone_first_le(term: Term, start: int, x: Q) -> int | None:
-    """First n >= start with term(n) <= x, for a term strictly decreasing on
-    n >= start with limit < x handled by the caller."""
-    if term.compare_at(start, x) <= 0:
-        return start
-    if term.limit > x or (term.limit == x):
-        # decreasing toward limit >= x: never reaches <= x unless limit == x
-        # exactly and the term attains it, which a strictly decreasing term
-        # cannot; treat as unreachable
-        if term.limit >= x:
-            return None
-    span = 1
-    lo = start
-    while True:
-        hi = start + span
-        if term.compare_at(hi, x) <= 0:
-            break
-        lo = hi
-        span *= 2
-        if span > 1 << 62:
-            return None
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if term.compare_at(mid, x) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _monotone_first_lt(term: Term, start: int, x: Q) -> int | None:
-    """First n >= start with term(n) < x (term strictly decreasing)."""
-    if term.compare_at(start, x) < 0:
+def _monotone_first(term: Term, start: int, x: Q, strict: bool = False) -> int | None:
+    """First n >= start with term(n) <= x (term(n) < x when strict), for a
+    term strictly decreasing on n >= start; None when there is none."""
+    bound = 0 if strict else 1  # compare_at is -1, 0 or 1
+    if term.compare_at(start, x) < bound:
         return start
     if term.limit >= x:
         return None
@@ -619,7 +617,7 @@ def _monotone_first_lt(term: Term, start: int, x: Q) -> int | None:
     lo = start
     while True:
         hi = start + span
-        if term.compare_at(hi, x) < 0:
+        if term.compare_at(hi, x) < bound:
             break
         lo = hi
         span *= 2
@@ -627,7 +625,7 @@ def _monotone_first_lt(term: Term, start: int, x: Q) -> int | None:
             return None
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if term.compare_at(mid, x) < 0:
+        if term.compare_at(mid, x) < bound:
             hi = mid
         else:
             lo = mid
@@ -647,7 +645,7 @@ def _seq_tail_contains(tail: Sequence, x: Q) -> bool:
     x_eff = x if term is tail.term else -x
     if x_eff <= term.limit:
         return False
-    n = _monotone_first_le(term, tail.start, x_eff)
+    n = _monotone_first(term, tail.start, x_eff)
     return n is not None and term.compare_at(n, x_eff) == 0
 
 
@@ -661,7 +659,7 @@ def _seq_min_distance(tail: Sequence, a: Q) -> Q:
         return a_eff - first if a_eff > first else _neighbor_gap(term, tail.start, a_eff)
     if a_eff <= term.limit:
         return term.limit - a_eff if a_eff < term.limit else _tail_limit_gap(term, tail.start)
-    n = _monotone_first_le(term, tail.start, a_eff)
+    n = _monotone_first(term, tail.start, a_eff)
     assert n is not None and n > tail.start
     below = a_eff - term.eval(n) if n is not None else None
     above = term.eval(n - 1) - a_eff
@@ -838,14 +836,6 @@ def _family_collapse(fam: IntervalFamily, n_hint: int):
     return tuple(pieces), None, None
 
 
-def _family_pieces(fam: IntervalFamily) -> tuple["Piece", ...]:
-    raw, tail, info = _family_resolution(fam)
-    out = [Piece(core, removals) for core, removals in raw]
-    if tail is not None:
-        out.append(Piece(tail, ()))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def family_tail_info(fam: IntervalFamily) -> FamilyTailInfo:
     """Tail metadata for an already-canonical family atom."""
@@ -853,16 +843,6 @@ def family_tail_info(fam: IntervalFamily) -> FamilyTailInfo:
     if tail != fam:
         raise AssertionError("family_tail_info requires a canonical tail atom")
     return info
-
-
-def _tail_bound_term(fam: IntervalFamily) -> tuple[Term, Term]:
-    """(near_term, far_term): distances of the member edges from the limit,
-    presented for a right-side tail; reflected for a left-side one."""
-    info = family_tail_info(fam)
-    if info.side > 0:
-        return fam.lo, fam.hi
-    refl = _family_reflect(fam)
-    return refl.lo, refl.hi
 
 
 def family_hull(fam: IntervalFamily) -> Interval:
@@ -891,11 +871,7 @@ def _family_member_containing(fam: IntervalFamily, x: Q) -> int | None:
     if x_eff > first_hi or (x_eff == first_hi and not work.hi_incl):
         return None
     # find the first member entirely below x: hi(n) <= x (or < with incl)
-    n = (
-        _monotone_first_lt(work.hi, work.start, x_eff)
-        if work.hi_incl
-        else _monotone_first_le(work.hi, work.start, x_eff)
-    )
+    n = _monotone_first(work.hi, work.start, x_eff, strict=work.hi_incl)
     cand = work.start if n is None else n - 1
     if cand < work.start:
         return None
@@ -928,11 +904,7 @@ def _family_clip(fam: IntervalFamily, box: Interval) -> list["Piece"]:
         if b.hi is None:
             cut = work.start
         else:
-            cut = (
-                _monotone_first_lt(work.hi, work.start, b.hi)
-                if not b.hi_incl and work.hi_incl
-                else _monotone_first_le(work.hi, work.start, b.hi)
-            )
+            cut = _monotone_first(work.hi, work.start, b.hi, strict=not b.hi_incl and work.hi_incl)
         if cut is None:
             raise UnsupportedIntersection("family clip could not locate the window edge")
         if cut - work.start > MAX_MATERIALIZE:
@@ -948,15 +920,12 @@ def _family_clip(fam: IntervalFamily, box: Interval) -> list["Piece"]:
                 if kept:
                     out.append(Piece(FinitePoints(kept), ()))
         tail = IntervalFamily(work.lo, work.hi, work.lo_incl, work.hi_incl, cut)
-        # members below cut are inside b; also ensure their low edges are
-        if b.lo is not None and b.lo == limit and not b.lo_incl:
-            pass  # members sit strictly above the limit already
         out.append(Piece(tail, ()))
     else:
         # b sits away from the accumulation point: finitely many members
         if b.lo is None:
             raise AssertionError("window below the limit cannot meet a right tail")
-        stop = _monotone_first_le(work.hi, work.start, b.lo)
+        stop = _monotone_first(work.hi, work.start, b.lo)
         if stop is None:
             stop_at = work.start
         else:
@@ -992,7 +961,7 @@ def _family_advance_past(fam: IntervalFamily, y: Q) -> tuple[list[SetExpr], Inte
     top = work.hi.eval(work.start)
     if y_eff >= top:
         return [], None  # entire tail absorbed
-    cut = _monotone_first_le(work.hi, work.start, y_eff)
+    cut = _monotone_first(work.hi, work.start, y_eff)
     if cut is None or cut - work.start > MAX_MATERIALIZE:
         raise UnsupportedIntersection("family absorption head too large")
     kept = []
@@ -1054,8 +1023,7 @@ class Normal:
 
 
 def _piece_rank(piece: Piece) -> tuple:
-    order = {Interval: 0, FinitePoints: 1, RationalsIn: 2, CantorAffine: 3, Sequence: 4, IntervalFamily: 5}
-    rank = order[type(piece.core)]
+    rank = piece.core.rank
     if isinstance(piece.core, Interval):
         key = piece.core.lo if piece.core.lo is not None else Q(-10**18)
     elif isinstance(piece.core, FinitePoints):
@@ -1087,7 +1055,7 @@ def _seq_clip(seq: Sequence, box: Interval) -> list[Piece]:
         if b.hi is None:
             cut = seq.start
         else:
-            cut = _monotone_first_lt(term, seq.start, b.hi) if not b.hi_incl else _monotone_first_le(term, seq.start, b.hi)
+            cut = _monotone_first(term, seq.start, b.hi, strict=not b.hi_incl)
             if cut is None:
                 cut = seq.start
         if cut - seq.start > MAX_MATERIALIZE:
@@ -1102,7 +1070,7 @@ def _seq_clip(seq: Sequence, box: Interval) -> list[Piece]:
         if b.lo is None:
             stop_at = seq.start
         else:
-            stop = _monotone_first_lt(term, seq.start, b.lo)
+            stop = _monotone_first(term, seq.start, b.lo, strict=True)
             stop_at = seq.start if stop is None else stop
         if stop_at - seq.start > MAX_MATERIALIZE:
             raise UnsupportedIntersection("sequence clip head too large")
@@ -1118,10 +1086,9 @@ def _core_intersect(a: SetExpr, b: SetExpr) -> list[Piece]:
     """Pieces of a ∩ b for core atoms a, b."""
     if isinstance(a, EmptySet) or isinstance(b, EmptySet):
         return []
-    ta, tb = type(a), type(b)
-    order = {Interval: 0, FinitePoints: 1, RationalsIn: 2, CantorAffine: 3, Sequence: 4, IntervalFamily: 5}
-    if order[ta] > order[tb]:
+    if a.rank > b.rank:
         return _core_intersect(b, a)
+    ta, tb = type(a), type(b)
 
     if ta is Interval:
         if tb is Interval:
@@ -1489,7 +1456,7 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
         idxs = []
         for p in relevant:
             p_eff = p if term is a.term else -p
-            n = _monotone_first_le(term, a.start, p_eff)
+            n = _monotone_first(term, a.start, p_eff)
             if n is not None and term.eval(n) == p_eff:
                 idxs.append(n)
         if not idxs:
@@ -1727,7 +1694,7 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
                 raise UnsupportedIntersection("unbounded solid overlapping a family tail")
             work_fam = keep if info.side > 0 else _family_reflect(keep)
             e_eff = edge if info.side > 0 else -edge
-            cut = _monotone_first_le(work_fam.hi, work_fam.start, e_eff)
+            cut = _monotone_first(work_fam.hi, work_fam.start, e_eff)
             if cut is None:
                 continue
             if cut - work_fam.start > MAX_MATERIALIZE:
@@ -2053,9 +2020,6 @@ class LocalTrace:
     def all_pieces(self) -> tuple[Piece, ...]:
         return tuple(Piece(iv, ()) for iv in self.pieces) + self.thin
 
-    def is_empty(self) -> bool:
-        return not self.pieces and not self.thin
-
 
 def window_trace(expr: SetExpr, a, delta) -> LocalTrace:
     a, delta = Q(a), Q(delta)
@@ -2131,7 +2095,7 @@ def _family_boundary_touch(fam: IntervalFamily, a: Q) -> bool:
     top = work.hi.eval(work.start)
     if a_eff > top:
         return False
-    n = _monotone_first_le(work.hi, work.start, a_eff)
+    n = _monotone_first(work.hi, work.start, a_eff)
     for cand in {n, None if n is None else n - 1, work.start}:
         if cand is None or cand < work.start:
             continue
@@ -2169,7 +2133,7 @@ def piece_distance_floor(piece: Piece, a: Q) -> Q:
             # a is an isolated member: gap to its neighbours
             term, _ = _seq_canonical_term(core)
             a_eff = a if term is core.term else -a
-            n = _monotone_first_le(term, core.start, a_eff)
+            n = _monotone_first(term, core.start, a_eff)
             gaps = []
             if n is not None:
                 if n > core.start:
@@ -2188,7 +2152,7 @@ def piece_distance_floor(piece: Piece, a: Q) -> Q:
         top = work.hi.eval(work.start)
         if a_eff > top:
             return a_eff - top
-        n = _monotone_first_le(work.hi, work.start, a_eff)
+        n = _monotone_first(work.hi, work.start, a_eff)
         cands = []
         for idx in {n, None if n is None else n - 1}:
             if idx is None or idx < work.start:
@@ -2199,8 +2163,6 @@ def piece_distance_floor(piece: Piece, a: Q) -> Q:
                     cands.append(abs(edge - a_eff))
             if lo_v < a_eff < hi_v:
                 raise AssertionError("point inside a member cannot have a distance floor")
-        if n is not None and n >= work.start:
-            pass
         assert cands
         return min(cands)
     raise AssertionError

@@ -263,9 +263,6 @@ class Term:
                 hi += c * below
         return lo, hi
 
-    def is_purely_geometric(self) -> bool:
-        return not self.pw
-
     def to_text(self) -> str:
         parts = []
 
@@ -290,17 +287,3 @@ class Term:
 
 def _q_text(q: Q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def eventually_nonnegative(t: Term) -> tuple[bool, int]:
-    """(holds-from-N, N) for t(n) >= 0 at every n >= N."""
-    sign, n = t.eventual_sign()
-    return sign >= 0, n
-
-
-def first_violation(t: Term, start: int, upto: int) -> int | None:
-    """First n in [start, upto) with t(n) < 0, else None."""
-    for n in range(start, upto):
-        if t.eval(n) < 0:
-            return n
-    return None

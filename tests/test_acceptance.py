@@ -97,8 +97,8 @@ def test_criterion_4_equivalence_suite(acceptance_corpus):
     disagreements = 0
     for f, a, rep in reports:
         for L in rep.candidates:
-            statuses = {rep.matrix[(t, L)] for t in (T1, T3, T4)}
-            if len(statuses) > 1:
+            verdicts = {(v.status, v.witness) for v in (check(f, a, L, t) for t in (T1, T3, T4))}
+            if len(verdicts) > 1:
                 disagreements += 1
     assert disagreements == 0
     assert elapsed < 60.0, f"runtime {elapsed:.2f}s exceeds 60s"
