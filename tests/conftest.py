@@ -12,8 +12,15 @@ from limitlab.poly import Poly
 from limitlab.sets import (
     EMPTY,
     FULL_LINE,
+    CantorAffine,
     Difference,
+    EmptySet,
+    FinitePoints,
     Intersection,
+    Interval,
+    IntervalFamily,
+    RationalsIn,
+    Sequence,
     SetExpr,
     Union,
     cantor_affine,
@@ -220,3 +227,46 @@ def sample_rats(rng: random.Random, count: int, lo=-3, hi=3) -> list[Q]:
         den = rng.choice((4, 8, 16, 64, 256, 729, 1024))
         out.append(Q(rng.randint(int(lo * den), int(hi * den)), den))
     return out
+
+
+# --- reflection x -> -x, built independently of the engine ------------------------
+
+
+def _neg(v: Q | None) -> Q | None:
+    return None if v is None else -v
+
+
+def mirror(expr: SetExpr) -> SetExpr:
+    """The set {-x : x in expr}, node by node."""
+    if isinstance(expr, EmptySet):
+        return EMPTY
+    if isinstance(expr, Interval):
+        return Interval(_neg(expr.hi), _neg(expr.lo), expr.hi_incl, expr.lo_incl)
+    if isinstance(expr, FinitePoints):
+        return FinitePoints(tuple(sorted(-p for p in expr.points)))
+    if isinstance(expr, RationalsIn):
+        return RationalsIn(mirror(expr.iv))
+    if isinstance(expr, CantorAffine):
+        clip = None if expr.clip is None else mirror(expr.clip)
+        return CantorAffine(-expr.offset, -expr.scale, clip)
+    if isinstance(expr, Sequence):
+        return Sequence(-expr.term, expr.start)
+    if isinstance(expr, IntervalFamily):
+        return IntervalFamily(-expr.hi, -expr.lo, expr.hi_incl, expr.lo_incl, expr.start)
+    if isinstance(expr, Union):
+        return Union(tuple(mirror(a) for a in expr.args))
+    if isinstance(expr, Intersection):
+        return Intersection(tuple(mirror(a) for a in expr.args))
+    if isinstance(expr, Difference):
+        return Difference(mirror(expr.left), mirror(expr.right))
+    raise TypeError(f"cannot mirror {expr!r}")
+
+
+def _mirror_poly(p: Poly) -> Poly:
+    return Poly.make([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
+
+
+def mirror_fn(f: PiecewiseFn) -> PiecewiseFn:
+    """x -> f(-x): every guard mirrored and every polynomial p(x) turned into p(-x)."""
+    branches = tuple((mirror(g), _mirror_poly(p)) for g, p in f.branches)
+    return PiecewiseFn(mirror(f.domain), branches, _mirror_poly(f.default))

@@ -4,7 +4,11 @@ The file `golden/verdicts.json` freezes, for the three separating fixtures
 and `corpus(11, 60)`, the classify report, each `check` verdict with its
 witnesses and evidence, each T5/T6 decomposition and the uniqueness
 preconditions; and, for 60 seeded set expressions, their measure, density
-and window-trace cardinality.  A refactor must leave it byte-identical.
+and window-trace cardinality.  The same records are kept for the mirror
+images x -> -x of all of them (functions at -a, densities at 0 and -1/2),
+so that tails approaching a point from the left are pinned as well as from
+the right, together with `sample_points(e, 16)` for every set and its mirror.
+A refactor must leave it byte-identical.
 
 Rewrite the file after a deliberate behaviour change with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -29,10 +33,11 @@ from limitlab.dsl import fn_to_text, set_to_text
 from limitlab.errors import LimitLabError
 from limitlab.functions import indicator_fn
 from limitlab.limits import LimitType, check, classify, uniqueness_precondition
+from limitlab.sampling import sample_points
 from limitlab.sets import FULL_LINE, cantor_affine, family, rationals_in, window_trace
 from limitlab.terms import Term
 
-from conftest import corpus, rand_set_expr
+from conftest import corpus, mirror, mirror_fn, rand_set_expr
 
 GOLDEN = Path(__file__).parent / "golden" / "verdicts.json"
 
@@ -105,24 +110,36 @@ def _density(d) -> list:
     return [d.kind, _q(d.value), _q(d.lower_bound), d.reason]
 
 
-def _set_record(e) -> dict:
+def _set_record(e, density_points=(Q(0), Q(1, 2))) -> dict:
     trace = lambda: window_trace(e, 0, 1)  # noqa: E731
     return {
         "set": set_to_text(e),
         "measure": _attempt(lambda: measure(e), _measure),
-        "density": {str(a): _attempt(lambda a=a: density_at(e, a), _density) for a in (Q(0), Q(1, 2))},
+        "density": {str(a): _attempt(lambda a=a: density_at(e, a), _density) for a in density_points},
         "trace_measure": _attempt(lambda: trace_measure(trace()), _measure),
         "cardinality": _attempt(lambda: cardinality(trace()), str),
         "no_accumulation": _attempt(lambda: has_no_accumulation_point(trace()), bool),
     }
 
 
+def _samples_record(e) -> dict:
+    return {
+        "set": set_to_text(e),
+        "samples": _attempt(lambda: sample_points(e, 16, seed=0), lambda xs: [_q(x) for x in xs]),
+    }
+
+
 def golden_records() -> dict:
-    functions = [_function_record(name, f, a) for name, f, a in _fixtures()]
-    functions += [_function_record(f"corpus11[{i}]", f, a) for i, (f, a) in enumerate(corpus(11, 60))]
+    cases = list(_fixtures())
+    cases += [(f"corpus11[{i}]", f, a) for i, (f, a) in enumerate(corpus(11, 60))]
+    functions = [_function_record(name, f, a) for name, f, a in cases]
+    functions += [_function_record(f"mirror {name}", mirror_fn(f), -a) for name, f, a in cases]
     rng = random.Random(43)
-    sets = [_set_record(rand_set_expr(rng, 2)) for _ in range(60)]
-    return {"functions": functions, "sets": sets}
+    trees = [rand_set_expr(rng, 2) for _ in range(60)]
+    sets = [_set_record(e) for e in trees]
+    sets += [_set_record(mirror(e), (Q(0), Q(-1, 2))) for e in trees]
+    samples = [_samples_record(e) for e in trees + [mirror(e) for e in trees]]
+    return {"functions": functions, "sets": sets, "samples": samples}
 
 
 def render() -> str:
@@ -134,7 +151,7 @@ def test_golden_verdicts():
     frozen_text = GOLDEN.read_text(encoding="utf-8")
     if text != frozen_text:
         fresh, frozen = json.loads(text), json.loads(frozen_text)
-        for kind in ("functions", "sets"):
+        for kind in ("functions", "sets", "samples"):
             assert len(fresh[kind]) == len(frozen[kind])
             for new, old in zip(fresh[kind], frozen[kind]):
                 assert new == old
