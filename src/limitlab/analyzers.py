@@ -23,9 +23,7 @@ from .sets import (
     LocalTrace,
     Piece,
     SetExpr,
-    _family_member_containing,
-    _family_reflect,
-    _monotone_first,
+    _family_member_at,
     _normal,
     family_tail_info,
     piece_reaches,
@@ -241,11 +239,8 @@ def tail_density_class(fam: IntervalFamily) -> tuple[str, Q | None]:
     """('zero', None) or ('positive', liminf lower bound) for a canonical
     disjoint tail at its own accumulation point, by dominant-decay analysis
     of member widths against member positions."""
-    info = family_tail_info(fam)
-    work = fam if info.side > 0 else _family_reflect(fam)
-    limit = work.lo.limit
-    width = work.hi - work.lo
-    position = work.hi - Term.constant(limit)
+    width = fam.hi - fam.lo
+    position = family_tail_info(fam).far  # distance of the far edge from the limit
     wk, wkey, wc = _dominant(width)
     pk, pkey, pc = _dominant(position)
     pos_sum = _abs_coeff_sum(position)
@@ -279,35 +274,15 @@ def tail_density_class(fam: IntervalFamily) -> tuple[str, Q | None]:
     raise UndecidableDensity("width/position decay pattern outside the rule table")
 
 
-def _interval_side_cover(iv: Interval, a: Q) -> tuple[bool, bool]:
-    left = (iv.lo is None or iv.lo < a) and (iv.hi is None or iv.hi >= a)
-    right = (iv.hi is None or iv.hi > a) and (iv.lo is None or iv.lo <= a)
-    return left, right
-
-
-def _member_interval_at(fam: IntervalFamily, a: Q) -> Interval | None:
-    """Real-coordinate member of a canonical tail whose closure contains a."""
-    info = family_tail_info(fam)
-    work = fam if info.side > 0 else _family_reflect(fam)
-    a_eff = a if info.side > 0 else -a
-    n = _family_member_containing(work, a_eff)
-    if n is None:
-        # closed-edge touch: scan the two candidate neighbours
-        m = _monotone_first(work.hi, work.start, a_eff)
-        for cand in {m, None if m is None else m - 1, work.start}:
-            if cand is None or cand < work.start:
-                continue
-            lo_v, hi_v = work.lo.eval(cand), work.hi.eval(cand)
-            if lo_v <= a_eff <= hi_v:
-                n = cand
-                break
-    if n is None:
-        return None
-    lo_v, hi_v = work.lo.eval(n), work.hi.eval(n)
-    iv = Interval(lo_v, hi_v, work.lo_incl, work.hi_incl)
-    if info.side < 0:
-        iv = Interval(-hi_v, -lo_v, work.hi_incl, work.lo_incl)
-    return iv
+def _covered_sides(iv: Interval, a: Q) -> set[int]:
+    """Sides of a (-1 left, +1 right) on which iv covers a one-sided
+    neighbourhood of a."""
+    sides = set()
+    if (iv.lo is None or iv.lo < a) and (iv.hi is None or iv.hi >= a):
+        sides.add(-1)
+    if (iv.hi is None or iv.hi > a) and (iv.lo is None or iv.lo <= a):
+        sides.add(1)
+    return sides
 
 
 def density_at(expr: SetExpr, a) -> DensityVerdict:
@@ -319,8 +294,7 @@ def density_at(expr: SetExpr, a) -> DensityVerdict:
     """
     a = Q(a)
     normal = _normal(expr)
-    left_full = False
-    right_full = False
+    full: set[int] = set()  # sides of a covered by a whole one-sided neighbourhood
     positive_lb = Q(0)
     has_positive = False
     unknown_side = False
@@ -332,7 +306,7 @@ def density_at(expr: SetExpr, a) -> DensityVerdict:
         if core.kind in NULL_KINDS:
             continue  # measure-zero germ
         if isinstance(core, Interval):
-            l_cov, r_cov = _interval_side_cover(core, a)
+            covered = _covered_sides(core, a)
             for r in piece.removals:
                 if not isinstance(r, IntervalFamily):
                     continue
@@ -342,14 +316,10 @@ def density_at(expr: SetExpr, a) -> DensityVerdict:
                 cls, _lb = tail_density_class(r)
                 if cls == "zero":
                     continue  # removed set is negligible in the limit
-                # a removed positive-density tail leaves this side unknown
-                if r_info.side > 0:
-                    r_cov = False
-                else:
-                    l_cov = False
+                # a removed positive-density tail leaves its side unknown
+                covered.discard(r_info.side)
                 unknown_side = True
-            left_full = left_full or l_cov
-            right_full = right_full or r_cov
+            full |= covered
         elif isinstance(core, IntervalFamily):
             info = family_tail_info(core)
             if info.limit == a:
@@ -358,17 +328,11 @@ def density_at(expr: SetExpr, a) -> DensityVerdict:
                     has_positive = True
                     positive_lb += lb
                 continue
-            member = _member_interval_at(core, a)
-            if member is None:
-                continue
-            l_cov, r_cov = _interval_side_cover(member, a)
-            left_full = left_full or l_cov
-            right_full = right_full or r_cov
-        else:
-            continue
+            hit = _family_member_at(core, a)
+            if hit is not None:
+                full |= _covered_sides(hit[1], a)
 
-    sides = (Q(1) if left_full else Q(0)) + (Q(1) if right_full else Q(0))
-    base = sides / 2
+    base = Q(len(full), 2)
     if has_positive:
         return DensityVerdict("positive", lower_bound=base + positive_lb)
     if unknown_side:

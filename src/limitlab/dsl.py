@@ -113,9 +113,14 @@ def _tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
+    # Parenthesised sets and chains of differences build trees as deep as
+    # they nest; every layer of the engine recurses over that depth.
+    MAX_NESTING = 100
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -135,6 +140,14 @@ class _Parser:
     def fail(self, message: str):
         tok = self.peek()
         raise DslSyntaxError(message, tok.line, tok.col)
+
+    def descend(self, tok: Token):
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            raise RangeError(
+                f"set expression nests deeper than {self.MAX_NESTING} levels "
+                f"(line {tok.line}, column {tok.col})"
+            )
 
     # --- numbers -------------------------------------------------------
 
@@ -268,9 +281,11 @@ class _Parser:
 
     def parse_diff(self) -> SetExpr:
         left = self.parse_and()
+        depth = self.depth
         while self.peek().kind == "\\":
-            self.next()
+            self.descend(self.next())
             left = Difference(left, self.parse_and())
+        self.depth = depth
         return left
 
     def parse_and(self) -> SetExpr:
@@ -291,8 +306,9 @@ class _Parser:
             nxt = self.peek(1)
             if nxt.kind in ("num", "-") or (nxt.kind == "id" and nxt.text == "inf"):
                 return self._parse_interval()
-            self.next()
+            self.descend(self.next())
             inner = self.parse_set()
+            self.depth -= 1
             self.expect(")")
             return inner
         if tok.kind == "id":

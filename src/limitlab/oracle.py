@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analyzers import measure
-from .errors import UnsupportedIntersection
+from .errors import RangeError, UnsupportedIntersection
 from .sets import Intersection, SetExpr, contains, open_interval
 
 Q = Fraction
@@ -48,7 +48,7 @@ def _unit_sample(seed: int, index: int) -> Q:
 def mc_measure(expr: SetExpr, cfg: SampleConfig) -> MCEstimate:
     """Monte-Carlo estimate of |expr ∩ (center - radius, center + radius)|."""
     if cfg.radius <= 0 or cfg.samples <= 0:
-        raise ValueError("window radius and sample count must be positive")
+        raise RangeError("window radius and sample count must be positive")
     lo = cfg.center - cfg.radius
     width = 2 * cfg.radius
     hits = 0
@@ -76,7 +76,7 @@ def density_profile(expr: SetExpr, a, depths: int, seed: int = 0, samples: int =
     otherwise from the Monte-Carlo estimator.
     """
     if depths > 40:
-        raise ValueError("profile depth is limited to 40")
+        raise RangeError("profile depth is limited to 40")
     a = Q(a)
     out = []
     for k in range(depths):

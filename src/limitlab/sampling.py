@@ -19,7 +19,6 @@ from .sets import (
     Piece,
     RationalsIn,
     Sequence,
-    _family_reflect,
     _normal,
     contains,
     family_tail_info,
@@ -67,14 +66,16 @@ def _piece_candidates(piece: Piece, rng: random.Random, center: Q, spread: Q, wa
             out.append(core.term.eval(n))
     elif isinstance(core, IntervalFamily):
         info = family_tail_info(core)
-        work = core if info.side > 0 else _family_reflect(core)
         for _ in range(want):
-            n = work.start + rng.randrange(0, 64)
-            lo_v, hi_v = work.lo.eval(n), work.hi.eval(n)
-            if hi_v <= lo_v:
+            n = core.start + rng.randrange(0, 64)
+            width = core.hi.eval(n) - core.lo.eval(n)
+            if width <= 0:
                 continue
-            x = lo_v + (hi_v - lo_v) * Q(rng.randrange(1, 16), 16)
-            out.append(x if info.side > 0 else -x)
+            # the point of member n that lies u of its width in from its
+            # edge nearer the limit, in distance coordinates
+            u = Q(rng.randrange(1, 16), 16)
+            d = info.far.eval(n) - width * (1 - u)
+            out.append(info.limit + info.side * d)
     return out
 
 

@@ -11,6 +11,15 @@ Normalization produces a canonical disjoint "piece" list.  A piece is an
 atom, optionally minus a list of measure-zero removal atoms; co-countable
 sets such as the irrationals in a window are therefore representable, which
 the limit engine needs to certify failure verdicts.
+
+Sequence and family tails pile up at their limit L from one side s (+1 from
+the right, -1 from the left).  The side is decided once, when the tail is
+canonicalized, and cached with a strictly decreasing distance term: s*(t - L)
+for a sequence t, and s*(e - L) for the far edge e of a family member (the
+edge away from the limit).  Every search, member lookup, split and distance
+floor compares a point x by its distance coordinate d = s*(x - L) against
+that term, so both sides share one code path; members and shortened tails
+are always built from the real atom.
 """
 
 from __future__ import annotations
@@ -158,7 +167,7 @@ class Sequence(SetExpr):
         head, tail = _seq_parts(self)
         if x in head:
             return True
-        return tail is not None and _seq_tail_contains(tail, x)
+        return tail is not None and _seq_index(tail, x) is not None
 
 
 @dataclass(frozen=True)
@@ -178,7 +187,8 @@ class IntervalFamily(SetExpr):
     def contains(self, x: Q) -> bool:
         raw, tail, info = _family_resolution(self)
         if tail == self:
-            return _family_member_containing(self, x) is not None
+            hit = _family_member_at(self, x)
+            return hit is not None and hit[1].contains(x)
         for core, removals in raw:
             if _atom_contains(core, x) and all(not _atom_contains(r, x) for r in removals):
                 return True
@@ -577,7 +587,7 @@ def sequence(term: Term, start: int = 1) -> SetExpr:
 class SeqInfo:
     tail_start: int
     side: int  # sign of term(n) - limit on the tail
-    decreasing: bool  # strictly decreasing on the tail
+    dist: Term  # side * (term - limit): positive, strictly decreasing on the tail
 
 
 @lru_cache(maxsize=None)
@@ -587,7 +597,7 @@ def _seq_info(term: Term, start: int) -> SeqInfo:
     step = term - term.shifted()
     s_step, n_step = step.eventual_sign()
     assert side != 0 and s_step != 0
-    return SeqInfo(max(start, n_side, n_step), side, s_step > 0)
+    return SeqInfo(max(start, n_side, n_step), side, dev.scale(side))
 
 
 @lru_cache(maxsize=None)
@@ -600,7 +610,7 @@ def _seq_parts(seq: Sequence) -> tuple[tuple[Q, ...], Sequence | None]:
     tail = Sequence(seq.term, info.tail_start)
     for n in range(seq.start, info.tail_start):
         v = seq.term.eval(n)
-        if not _seq_tail_contains(tail, v) and v not in head:
+        if _seq_index(tail, v) is None and v not in head:
             head.append(v)
     return tuple(sorted(head)), tail
 
@@ -632,49 +642,45 @@ def _monotone_first(term: Term, start: int, x: Q, strict: bool = False) -> int |
     return hi
 
 
-def _seq_canonical_term(seq: Sequence) -> tuple[Term, int]:
-    """Present the tail as a strictly decreasing term (negate if needed)."""
-    info = _seq_info(seq.term, seq.start)
-    if info.decreasing:
-        return seq.term, info.side
-    return -seq.term, -info.side
+def _dist_edges(box: Interval, limit: Q, side: int):
+    """The box's (near, far) edges in distance coordinates d = side*(x - limit):
+    each a (d, included) pair, or None for an unbounded end."""
+    lo = None if box.lo is None else (side * (box.lo - limit), box.lo_incl)
+    hi = None if box.hi is None else (side * (box.hi - limit), box.hi_incl)
+    return (lo, hi) if side > 0 else (hi, lo)
 
 
-def _seq_tail_contains(tail: Sequence, x: Q) -> bool:
-    term, _ = _seq_canonical_term(tail)
-    x_eff = x if term is tail.term else -x
-    if x_eff <= term.limit:
-        return False
-    n = _monotone_first(term, tail.start, x_eff)
-    return n is not None and term.compare_at(n, x_eff) == 0
+def _holds_limit_side(near, far) -> bool:
+    """Do a box's distance-coordinate edges enclose points arbitrarily close
+    to the limit on the tail's side?"""
+    return (near is None or near[0] <= 0) and (far is None or far[0] > 0)
 
 
-def _seq_min_distance(tail: Sequence, a: Q) -> Q:
-    """Positive lower bound on dist(a, tail values) when a != limit and a is
-    not a member."""
-    term, _ = _seq_canonical_term(tail)
-    a_eff = a if term is tail.term else -a
-    first = term.eval(tail.start)
-    if a_eff >= first:
-        return a_eff - first if a_eff > first else _neighbor_gap(term, tail.start, a_eff)
-    if a_eff <= term.limit:
-        return term.limit - a_eff if a_eff < term.limit else _tail_limit_gap(term, tail.start)
-    n = _monotone_first(term, tail.start, a_eff)
-    assert n is not None and n > tail.start
-    below = a_eff - term.eval(n) if n is not None else None
-    above = term.eval(n - 1) - a_eff
-    cands = [v for v in (below, above) if v is not None and v > 0]
-    if not cands:
-        raise AssertionError("distance requested for a member point")
-    return min(cands)
+def _seq_index(tail: Sequence, x: Q) -> int | None:
+    """Index n of the canonical tail with term(n) == x, if any."""
+    info = _seq_info(tail.term, tail.start)
+    d = info.side * (x - tail.limit)
+    if d <= 0:
+        return None
+    n = _monotone_first(info.dist, tail.start, d)
+    return n if n is not None and info.dist.compare_at(n, d) == 0 else None
 
 
-def _neighbor_gap(term: Term, n: int, a_eff: Q) -> Q:
-    return term.eval(n) - a_eff if term.eval(n) > a_eff else a_eff - term.eval(n)
-
-
-def _tail_limit_gap(term: Term, start: int) -> Q:
-    raise AssertionError("sequence accumulates at its limit; no distance exists")
+def _seq_gap(tail: Sequence, x: Q) -> Q:
+    """Distance from x, which is not the limit, to the other values of the
+    canonical tail."""
+    info = _seq_info(tail.term, tail.start)
+    d = info.side * (x - tail.limit)
+    if d < 0:
+        return -d
+    n = _monotone_first(info.dist, tail.start, d)  # first value not beyond x
+    below = info.dist.eval(n)
+    if below == d:  # x is a member: the next value is its lower neighbour
+        below = info.dist.eval(n + 1)
+    gaps = [d - below]
+    if n > tail.start:
+        gaps.append(info.dist.eval(n - 1) - d)
+    return min(gaps)
 
 
 # --- interval family canonicalization ---------------------------------------
@@ -703,39 +709,20 @@ def family(lo: Term, hi: Term, lo_incl: bool = True, hi_incl: bool = False, star
 class FamilyTailInfo:
     limit: Q
     side: int  # +1: members right of the limit; -1: left
-    disjoint: bool  # pairwise disjoint and strictly monotone on the tail
-
-
-def _family_reflect(fam: IntervalFamily) -> IntervalFamily:
-    return IntervalFamily(-fam.hi, -fam.lo, fam.hi_incl, fam.lo_incl, fam.start)
-
-
-def _reflect_piece(piece):
-    core, removals = piece
-    return (_reflect_atom(core), tuple(_reflect_atom(r) for r in removals))
-
-
-def _reflect_atom(atom):
-    if isinstance(atom, Interval):
-        lo = None if atom.hi is None else -atom.hi
-        hi = None if atom.lo is None else -atom.lo
-        return Interval(lo, hi, atom.hi_incl, atom.lo_incl)
-    if isinstance(atom, FinitePoints):
-        return FinitePoints(tuple(sorted(-p for p in atom.points)))
-    if isinstance(atom, RationalsIn):
-        return RationalsIn(_reflect_atom(atom.iv))
-    if isinstance(atom, CantorAffine):
-        clip = None if atom.clip is None else _reflect_atom(atom.clip)
-        return CantorAffine(-atom.offset, -atom.scale, clip)
-    if isinstance(atom, Sequence):
-        return Sequence(-atom.term, atom.start)
-    if isinstance(atom, IntervalFamily):
-        return _family_reflect(atom)
-    raise AssertionError(f"cannot reflect {atom!r}")
+    far: Term  # side * (far edge - limit): positive, strictly decreasing
+    far_incl: bool  # whether members include their far edge
 
 
 def _member_interval(fam: IntervalFamily, n: int) -> SetExpr:
     return interval(fam.lo.eval(n), fam.hi.eval(n), fam.lo_incl, fam.hi_incl)
+
+
+def _family_head(fam: IntervalFamily, stop: int) -> list[SetExpr]:
+    """The nonempty members with index start <= n < stop."""
+    if stop - fam.start > MAX_MATERIALIZE:
+        raise UnsupportedIntersection("family head too large to materialize")
+    members = (_member_interval(fam, n) for n in range(fam.start, stop))
+    return [m for m in members if not isinstance(m, EmptySet)]
 
 
 @lru_cache(maxsize=None)
@@ -747,60 +734,52 @@ def _family_resolution(fam: IntervalFamily):
     pairwise disjoint, strictly monotone, and sit on one side of the limit.
     """
     lo, hi = fam.lo, fam.hi
-    l_lo, l_hi = lo.limit, hi.limit
-    if l_lo == l_hi:
-        limit = l_lo
-        s_lo, n_lo = (lo - Term.constant(limit)).eventual_sign()
-        s_hi, n_hi = (hi - Term.constant(limit)).eventual_sign()
-        if s_lo >= 0 and s_hi == 1:
-            if s_lo == 0:
-                return _family_collapse(fam, max(n_lo, n_hi))
-            disj = lo - hi.shifted()  # > 0: consecutive members strictly separated
-            s_d, n_d = disj.eventual_sign()
-            s_w, n_w = (hi - lo).eventual_sign()
-            if s_d > 0:
-                n_star = max(fam.start, n_lo, n_hi, n_d, n_w)
-                return _family_materialize_head(fam, n_star, FamilyTailInfo(limit, 1, True))
-            # touching (s_d == 0) or overlapping members chain into an interval
-            return _family_collapse(fam, max(n_lo, n_hi, n_d, n_w))
-        if s_hi <= 0 and s_lo == -1:
-            pieces, tail, info = _family_resolution(_family_reflect(fam))
-            pieces = tuple(_reflect_piece(p) for p in pieces)
-            tail_atom = None if tail is None else _family_reflect(tail)
-            tail_info = None if info is None else FamilyTailInfo(-info.limit, -info.side, info.disjoint)
-            return pieces, tail_atom, tail_info
+    if lo.limit != hi.limit:
+        # distinct endpoint limits: members eventually overlap, collapse
+        s_ov, n_ov = (hi - lo.shifted()).eventual_sign()
+        return _family_collapse(fam, n_ov, 1)
+    limit = lo.limit
+    s_lo, n_lo = (lo - Term.constant(limit)).eventual_sign()
+    s_hi, n_hi = (hi - Term.constant(limit)).eventual_sign()
+    if s_lo >= 0 and s_hi == 1:
+        side, near, far, far_incl = 1, lo, hi, fam.hi_incl
+    elif s_hi <= 0 and s_lo == -1:
+        side, near, far, far_incl = -1, hi, lo, fam.lo_incl
+    else:
         # members straddle the limit forever: they overlap, collapse
-        return _family_collapse(fam, max(n_lo, n_hi))
-    # distinct endpoint limits: members eventually overlap, collapse
-    s_ov, n_ov = (hi - lo.shifted()).eventual_sign()
-    return _family_collapse(fam, n_ov)
+        return _family_collapse(fam, max(n_lo, n_hi), 1)
+    near_d = (near - Term.constant(limit)).scale(side)
+    far_d = (far - Term.constant(limit)).scale(side)
+    if near_d.is_constant():
+        return _family_collapse(fam, max(n_lo, n_hi), side)
+    # > 0: consecutive members strictly separated
+    s_d, n_d = (near_d - far_d.shifted()).eventual_sign()
+    s_w, n_w = (hi - lo).eventual_sign()
+    if s_d > 0:
+        n_star = max(fam.start, n_lo, n_hi, n_d, n_w)
+        pieces = tuple((m, ()) for m in _family_head(fam, n_star))
+        tail = IntervalFamily(lo, hi, fam.lo_incl, fam.hi_incl, n_star)
+        return pieces, tail, FamilyTailInfo(limit, side, far_d, far_incl)
+    # touching (s_d == 0) or overlapping members chain into an interval
+    return _family_collapse(fam, max(n_lo, n_hi, n_d, n_w), side)
 
 
-def _family_materialize_head(fam: IntervalFamily, n_star: int, info: FamilyTailInfo):
-    if n_star - fam.start > MAX_MATERIALIZE:
-        raise UnsupportedIntersection("family head too large to materialize")
-    pieces = []
-    for n in range(fam.start, n_star):
-        m = _member_interval(fam, n)
-        if isinstance(m, (Interval, FinitePoints)):
-            pieces.append((m, ()))
-    tail = IntervalFamily(fam.lo, fam.hi, fam.lo_incl, fam.hi_incl, n_star)
-    return tuple(pieces), tail, info
+def _family_collapse(fam: IntervalFamily, n_hint: int, side: int):
+    """Members eventually chain together: replace the tail by one interval.
 
-
-def _family_collapse(fam: IntervalFamily, n_hint: int):
-    """Members eventually chain together: replace the tail by one interval."""
+    side is the side of the limit the members approach from (1 when they
+    straddle it or have no common limit); member n chains to member n+1
+    across its edge nearer the limit."""
     lo, hi = fam.lo, fam.hi
     l_lo, l_hi = lo.limit, hi.limit
+    near, far = (lo, hi) if side > 0 else (hi, lo)
     s_dlo, n_dlo = (lo - lo.shifted()).eventual_sign()
     s_dhi, n_dhi = (hi - hi.shifted()).eventual_sign()
-    ov = hi - lo.shifted()  # member n reaches member n+1 when >= 0
+    ov = (far - near.shifted()).scale(side)  # member n reaches member n+1 when >= 0
     s_ov, n_ov = ov.eventual_sign()
     n_star = max(fam.start, n_hint, n_dlo, n_dhi, n_ov)
     if s_ov < 0:
         raise AssertionError("collapse requested for eventually disjoint family")
-    if n_star - fam.start > MAX_MATERIALIZE:
-        raise UnsupportedIntersection("family head too large to materialize")
 
     # lower bound of the chained union
     if s_dlo == 0:  # lo constant
@@ -823,16 +802,13 @@ def _family_collapse(fam: IntervalFamily, n_hint: int):
     if not fam.lo_incl and not fam.hi_incl:
         # members that touch exactly leave single-point holes at junctions
         if s_ov == 0:
-            holes = sequence(hi, n_star)  # hi(n) == lo(n+1) at every index
-        elif (lo - hi.shifted()).eventual_sign()[0] == 0:
-            holes = sequence(lo, n_star)  # lo(n) == hi(n+1) at every index
+            holes = sequence(far, n_star)  # far(n) == near(n+1) at every index
+        elif (near - far.shifted()).eventual_sign()[0] == 0:
+            holes = sequence(near, n_star)  # near(n) == far(n+1) at every index
     if isinstance(collapsed, (Interval, FinitePoints)):
         removals = (holes,) if isinstance(holes, Sequence) else ()
         pieces.append((collapsed, removals))
-    for n in range(fam.start, n_star):
-        m = _member_interval(fam, n)
-        if isinstance(m, (Interval, FinitePoints)):
-            pieces.append((m, ()))
+    pieces.extend((m, ()) for m in _family_head(fam, n_star))
     return tuple(pieces), None, None
 
 
@@ -846,41 +822,34 @@ def family_tail_info(fam: IntervalFamily) -> FamilyTailInfo:
 
 
 def family_hull(fam: IntervalFamily) -> Interval:
-    """Interval certainly containing the canonical tail."""
-    info = family_tail_info(fam)
-    if info.side > 0:
-        top = fam.hi.eval(fam.start)
-        lo_first = fam.lo.eval(fam.start)
-        lo_bound = min(info.limit, lo_first)
-        return Interval(lo_bound, top, True, fam.hi_incl)
-    bottom = fam.lo.eval(fam.start)
-    hi_first = fam.hi.eval(fam.start)
-    hi_bound = max(info.limit, hi_first)
-    return Interval(bottom, hi_bound, fam.lo_incl, True)
+    """Interval certainly containing the canonical tail: its limit and its
+    first member."""
+    limit = family_tail_info(fam).limit
+    return _iv_hull(_member_interval(fam, fam.start), Interval(limit, limit, True, True))
 
 
-def _family_member_containing(fam: IntervalFamily, x: Q) -> int | None:
-    """Index of the canonical-tail member containing x, if any."""
+def _family_split(fam: IntervalFamily, x: Q) -> int | None:
+    """First index of the canonical tail whose member lies wholly between x
+    and the limit (its far edge nearer the limit than x); None when x is not
+    past the limit on the tail's side."""
     info = family_tail_info(fam)
-    work = fam if info.side > 0 else _family_reflect(fam)
-    x_eff = x if info.side > 0 else -x
-    limit = work.lo.limit
-    if x_eff <= limit:
+    d = info.side * (x - info.limit)
+    if d <= 0:
         return None
-    first_hi = work.hi.eval(work.start)
-    if x_eff > first_hi or (x_eff == first_hi and not work.hi_incl):
+    return _monotone_first(info.far, fam.start, d, strict=True)
+
+
+def _family_member_at(fam: IntervalFamily, x: Q) -> tuple[int, Interval] | None:
+    """(index, member) of the canonical-tail member whose closure holds x.
+
+    Members are strictly separated, so at most one closure holds a point:
+    the last member whose far edge is not nearer the limit than x.
+    """
+    n = _family_split(fam, x)
+    if n is None or n == fam.start:
         return None
-    # find the first member entirely below x: hi(n) <= x (or < with incl)
-    n = _monotone_first(work.hi, work.start, x_eff, strict=work.hi_incl)
-    cand = work.start if n is None else n - 1
-    if cand < work.start:
-        return None
-    lo_v, hi_v = work.lo.eval(cand), work.hi.eval(cand)
-    if (lo_v < x_eff or (lo_v == x_eff and work.lo_incl)) and (
-        x_eff < hi_v or (x_eff == hi_v and work.hi_incl)
-    ):
-        return cand
-    return None
+    member = _member_interval(fam, n - 1)
+    return (n - 1, member) if _iv_distance(member, x) == 0 else None
 
 
 def _family_clip(fam: IntervalFamily, box: Interval) -> list["Piece"]:
@@ -888,88 +857,32 @@ def _family_clip(fam: IntervalFamily, box: Interval) -> list["Piece"]:
     info = family_tail_info(fam)
     if _iv_covers(box, family_hull(fam)):
         return [Piece(fam, ())]
-    work = fam if info.side > 0 else _family_reflect(fam)
-    b = box if info.side > 0 else _reflect_atom(box)
-    limit = work.lo.limit
-    out: list[Piece] = []
-
-    # Members live strictly above the limit; a box that stays at or below
+    near, far = _dist_edges(box, info.limit, info.side)
+    # Members live strictly beyond the limit; a box that stays at or before
     # it cannot meet the tail.
-    if b.hi is not None and b.hi <= limit:
+    if far is not None and far[0] <= 0:
         return []
-    # does b contain points arbitrarily close above the limit?
-    stub = b.lo is None or b.lo <= limit
-    if stub:
-        # tail survives from the first member fully inside b
-        if b.hi is None:
-            cut = work.start
+    tail = None
+    if _holds_limit_side(near, far):
+        # the tail survives from the first member fully inside the box
+        if far is None:
+            cut = fam.start
         else:
-            cut = _monotone_first(work.hi, work.start, b.hi, strict=not b.hi_incl and work.hi_incl)
+            cut = _monotone_first(info.far, fam.start, far[0], strict=not far[1] and info.far_incl)
         if cut is None:
             raise UnsupportedIntersection("family clip could not locate the window edge")
-        if cut - work.start > MAX_MATERIALIZE:
-            raise UnsupportedIntersection("family clip head too large")
-        for n in range(work.start, cut):
-            m = _member_interval(work, n)
-            if isinstance(m, Interval):
-                r = iv_intersect(m, b)
-                if isinstance(r, (Interval, FinitePoints)):
-                    out.append(Piece(r, ()))
-            elif isinstance(m, FinitePoints):
-                kept = tuple(p for p in m.points if b.contains(p))
-                if kept:
-                    out.append(Piece(FinitePoints(kept), ()))
-        tail = IntervalFamily(work.lo, work.hi, work.lo_incl, work.hi_incl, cut)
-        out.append(Piece(tail, ()))
+        tail = IntervalFamily(fam.lo, fam.hi, fam.lo_incl, fam.hi_incl, cut)
     else:
-        # b sits away from the accumulation point: finitely many members
-        if b.lo is None:
-            raise AssertionError("window below the limit cannot meet a right tail")
-        stop = _monotone_first(work.hi, work.start, b.lo)
-        if stop is None:
-            stop_at = work.start
-        else:
-            stop_at = stop
-        if stop_at - work.start > MAX_MATERIALIZE:
-            raise UnsupportedIntersection("family clip head too large")
-        for n in range(work.start, stop_at):
-            m = _member_interval(work, n)
-            if isinstance(m, Interval):
-                r = iv_intersect(m, b)
-                if isinstance(r, (Interval, FinitePoints)):
-                    out.append(Piece(r, ()))
-            elif isinstance(m, FinitePoints):
-                kept = tuple(p for p in m.points if b.contains(p))
-                if kept:
-                    out.append(Piece(FinitePoints(kept), ()))
-    if info.side < 0:
-        out = [Piece(*_reflect_piece((p.core, p.removals))) for p in out]
+        # the box sits away from the accumulation point: finitely many members
+        cut = _monotone_first(info.far, fam.start, near[0])
+        if cut is None:
+            cut = fam.start
+    out: list[Piece] = []
+    for m in _family_head(fam, cut):
+        out.extend(_core_intersect(m, box))
+    if tail is not None:
+        out.append(Piece(tail, ()))
     return out
-
-
-def _family_advance_past(fam: IntervalFamily, y: Q) -> tuple[list[SetExpr], IntervalFamily | None]:
-    """Drop canonical-tail members whose span lies within distance |y-limit|
-    of the limit (they are covered by an interval reaching the limit).
-
-    Returns (materialized members at or above y, shortened tail or None)."""
-    info = family_tail_info(fam)
-    work = fam if info.side > 0 else _family_reflect(fam)
-    y_eff = y if info.side > 0 else -y
-    limit = work.lo.limit
-    if y_eff <= limit:
-        raise AssertionError("cover must reach past the limit")
-    top = work.hi.eval(work.start)
-    if y_eff >= top:
-        return [], None  # entire tail absorbed
-    cut = _monotone_first(work.hi, work.start, y_eff)
-    if cut is None or cut - work.start > MAX_MATERIALIZE:
-        raise UnsupportedIntersection("family absorption head too large")
-    kept = []
-    for n in range(work.start, cut):
-        m = _member_interval(work, n)
-        if not isinstance(m, EmptySet):
-            kept.append(m if info.side > 0 else _reflect_atom(m))
-    return kept, None
 
 
 # --- pieces and normal forms -------------------------------------------------
@@ -1040,45 +953,23 @@ def _piece_rank(piece: Piece) -> tuple:
 
 def _seq_clip(seq: Sequence, box: Interval) -> list[Piece]:
     """Pieces of the canonical sequence tail intersected with box."""
-    term, side = _seq_canonical_term(seq)
-    b = box if term is seq.term else _reflect_atom(box)
-    limit = term.limit
-    first = term.eval(seq.start)
-    out: list[Piece] = []
-    in_limit_side = (b.lo is None or b.lo < limit or (b.lo == limit)) and (
-        b.hi is None or b.hi > limit
-    )
-    if b.lo is not None and b.lo > limit:
-        in_limit_side = False
-    if in_limit_side:
-        # tail eventually inside: keep symbolically from the first member <= hi edge
-        if b.hi is None:
-            cut = seq.start
-        else:
-            cut = _monotone_first(term, seq.start, b.hi, strict=not b.hi_incl)
-            if cut is None:
-                cut = seq.start
-        if cut - seq.start > MAX_MATERIALIZE:
-            raise UnsupportedIntersection("sequence clip head too large")
-        pts = [term.eval(n) for n in range(seq.start, cut) if b.contains(term.eval(n))]
-        # boundary at the limit itself: members sit strictly on one side
-        tail = Sequence(term, cut)
-        if pts:
-            out.append(Piece(FinitePoints(tuple(sorted(pts))), ()))
-        out.append(Piece(tail, ()))
+    info = _seq_info(seq.term, seq.start)
+    near, far = _dist_edges(box, seq.limit, info.side)
+    tail = None
+    if _holds_limit_side(near, far):
+        # tail eventually inside: keep symbolically from the first member
+        # within the far edge
+        cut = None if far is None else _monotone_first(info.dist, seq.start, far[0], strict=not far[1])
+        tail = Sequence(seq.term, seq.start if cut is None else cut)
     else:
-        if b.lo is None:
-            stop_at = seq.start
-        else:
-            stop = _monotone_first(term, seq.start, b.lo, strict=True)
-            stop_at = seq.start if stop is None else stop
-        if stop_at - seq.start > MAX_MATERIALIZE:
-            raise UnsupportedIntersection("sequence clip head too large")
-        pts = [term.eval(n) for n in range(seq.start, stop_at) if b.contains(term.eval(n))]
-        if pts:
-            out.append(Piece(FinitePoints(tuple(sorted(pts))), ()))
-    if term is not seq.term:
-        out = [Piece(*_reflect_piece((p.core, p.removals))) for p in out]
+        cut = None if near is None else _monotone_first(info.dist, seq.start, near[0], strict=True)
+    stop = seq.start if cut is None else cut
+    if stop - seq.start > MAX_MATERIALIZE:
+        raise UnsupportedIntersection("sequence clip head too large")
+    pts = sorted(v for v in (seq.term.eval(n) for n in range(seq.start, stop)) if box.contains(v))
+    out = [Piece(FinitePoints(tuple(pts)), ())] if pts else []
+    if tail is not None:
+        out.append(Piece(tail, ()))
     return out
 
 
@@ -1206,10 +1097,8 @@ def _core_intersect(a: SetExpr, b: SetExpr) -> list[Piece]:
 
 
 def _seq_hull(seq: Sequence) -> Interval:
-    term, _ = _seq_canonical_term(seq)
-    top = term.eval(seq.start)
-    lo, hi = (term.limit, top) if term is seq.term else (-top, -term.limit)
-    return Interval(lo, hi, True, True)
+    first = seq.term.eval(seq.start)
+    return Interval(min(seq.limit, first), max(seq.limit, first), True, True)
 
 
 def _seq_shared_values(a: Sequence, b: Sequence) -> tuple[Q, ...]:
@@ -1423,7 +1312,7 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
         out = []
         for seg in segments:
             if isinstance(seg, FinitePoints):
-                out.append(Piece(seg if ta is Interval else seg, ()))
+                out.append(Piece(seg, ()))
             elif ta is Interval:
                 out.append(Piece(seg, ()))
             else:
@@ -1452,13 +1341,7 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
             pieces = nxt
         return [Piece(c, ()) for c in pieces]
     if ta is Sequence:
-        term, _ = _seq_canonical_term(a)
-        idxs = []
-        for p in relevant:
-            p_eff = p if term is a.term else -p
-            n = _monotone_first(term, a.start, p_eff)
-            if n is not None and term.eval(n) == p_eff:
-                idxs.append(n)
+        idxs = [n for n in (_seq_index(a, p) for p in relevant) if n is not None]
         if not idxs:
             return [Piece(a, ())]
         cut = max(idxs) + 1
@@ -1481,33 +1364,17 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
         for p in sorted(relevant):
             nxt: list[Piece] = []
             for q in pieces:
-                if isinstance(q.core, IntervalFamily) and _atom_contains(q.core, p):
-                    n = _family_member_containing(q.core, p)
-                    if n is None:
-                        nxt.append(q)
-                        continue
-                    info = family_tail_info(q.core)
-                    work = q.core if info.side > 0 else _family_reflect(q.core)
-                    cut = n + 1
-                    if cut - work.start > MAX_MATERIALIZE:
-                        raise UnsupportedIntersection("family point-removal head too large")
-                    mats = []
-                    for m_i in range(work.start, cut):
-                        m = _member_interval(work, m_i)
-                        if not isinstance(m, EmptySet):
-                            mats.append(m if info.side > 0 else _reflect_atom(m))
-                    new_tail = IntervalFamily(work.lo, work.hi, work.lo_incl, work.hi_incl, cut)
-                    if info.side < 0:
-                        new_tail = _family_reflect(new_tail)
-                    for m in mats:
-                        for sub in _subtract_points(m, (p,)):
-                            nxt.append(Piece(sub.core, _merge_removals(sub.removals, q.removals)))
-                    nxt.append(Piece(new_tail, q.removals))
-                elif piece_contains(q, p) or _atom_contains(q.core, p):
-                    for sub in _subtract_points(q.core, (p,)):
-                        nxt.append(Piece(sub.core, _merge_removals(sub.removals, q.removals)))
-                else:
+                if not _atom_contains(q.core, p):
                     nxt.append(q)
+                elif isinstance(q.core, IntervalFamily):
+                    # materialize the members up to the one holding p
+                    fam = q.core
+                    cut = _family_member_at(fam, p)[0] + 1
+                    for m in _family_head(fam, cut):
+                        nxt.extend(_attach_removals(_subtract_points(m, (p,)), q.removals))
+                    nxt.append(Piece(IntervalFamily(fam.lo, fam.hi, fam.lo_incl, fam.hi_incl, cut), q.removals))
+                else:
+                    nxt.extend(_attach_removals(_subtract_points(q.core, (p,)), q.removals))
             pieces = nxt
         return pieces
     raise AssertionError(f"unhandled point subtraction from {ta}")
@@ -1554,16 +1421,7 @@ def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
                 tail.hi_incl,
             )
             if same_shape:
-                if tail.start <= core.start:
-                    return []
-                if tail.start - core.start > MAX_MATERIALIZE:
-                    raise UnsupportedIntersection("family head too large to materialize")
-                out = []
-                for n in range(core.start, tail.start):
-                    m = _member_interval(core, n)
-                    if not isinstance(m, EmptySet):
-                        out.append(Piece(m, p.removals))
-                return out
+                return [Piece(m, p.removals) for m in _family_head(core, tail.start)]
             if _iv_disjoint(family_hull(core), hull):
                 return [p]
         raise UnsupportedIntersection("thin atom minus family tail is outside the algebra")
@@ -1658,55 +1516,36 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
     out_fams: list[Piece] = []
     extra_solids: list[Interval] = []
     for fp in fams:
-        fam = fp.core
-        info = family_tail_info(fam)
-        keep = fam
+        keep = fp.core
+        info = family_tail_info(keep)
         for s in solids:
-            if keep is None:
-                break
-            hull = family_hull(keep)
-            if _iv_disjoint(s, hull):
+            if _iv_disjoint(s, family_hull(keep)):
                 continue
-            limit = info.limit
-            if info.side > 0:
-                covers_stub = (s.lo is None or s.lo <= limit) and (s.hi is None or s.hi > limit)
-                y = s.hi
-            else:
-                covers_stub = (s.hi is None or s.hi >= limit) and (s.lo is None or s.lo < limit)
-                y = s.lo
-            if covers_stub:
+            near, far = _dist_edges(s, info.limit, info.side)
+            if _holds_limit_side(near, far):
                 # the solid covers a whole one-sided neighbourhood of the
                 # accumulation point: members under it are absorbed, the
                 # finitely many beyond it materialize
-                if y is None:
-                    keep = None
-                    break
-                mats, _ = _family_advance_past(keep, y)
-                extra_solids.extend(m for m in mats if isinstance(m, Interval))
-                for m in mats:
-                    if isinstance(m, FinitePoints):
-                        pts.update(m.points)
-                keep = None
-                break
-            # solid sits away from the limit: split the tail around it
-            edge = s.lo if info.side > 0 else s.hi
-            if edge is None:
-                raise UnsupportedIntersection("unbounded solid overlapping a family tail")
-            work_fam = keep if info.side > 0 else _family_reflect(keep)
-            e_eff = edge if info.side > 0 else -edge
-            cut = _monotone_first(work_fam.hi, work_fam.start, e_eff)
+                cut = keep.start if far is None else _monotone_first(info.far, keep.start, far[0])
+                rest = None
+            else:
+                # solid sits away from the limit: split the tail at its near edge
+                if near is None:
+                    raise UnsupportedIntersection("unbounded solid overlapping a family tail")
+                cut = _monotone_first(info.far, keep.start, near[0])
+                if cut is None:
+                    continue
+                rest = IntervalFamily(keep.lo, keep.hi, keep.lo_incl, keep.hi_incl, cut)
             if cut is None:
-                continue
-            if cut - work_fam.start > MAX_MATERIALIZE:
-                raise UnsupportedIntersection("family/solid overlap too large to split")
-            for n in range(work_fam.start, cut):
-                m = _member_interval(work_fam, n)
+                raise UnsupportedIntersection("family absorption head too large")
+            for m in _family_head(keep, cut):
                 if isinstance(m, Interval):
-                    extra_solids.append(m if info.side > 0 else _reflect_atom(m))
-                elif isinstance(m, FinitePoints):
-                    pts.update(m.points if info.side > 0 else tuple(-q for q in m.points))
-            new_tail = IntervalFamily(work_fam.lo, work_fam.hi, work_fam.lo_incl, work_fam.hi_incl, cut)
-            keep = new_tail if info.side > 0 else _family_reflect(new_tail)
+                    extra_solids.append(m)
+                else:
+                    pts.update(m.points)
+            keep = rest
+            if keep is None:
+                break
         if keep is not None:
             out_fams.append(Piece(keep, fp.removals))
     if extra_solids:
@@ -1811,7 +1650,7 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
             nxt = []
             for q in parts:
                 if isinstance(q.core, Sequence):
-                    for w in _core_subtract(q.core, s if isinstance(s, Interval) else s):
+                    for w in _core_subtract(q.core, s):
                         nxt.append(w)
                 elif isinstance(q.core, FinitePoints):
                     kept = tuple(x for x in q.core.points if not s.contains(x))
@@ -2024,7 +1863,7 @@ class LocalTrace:
 def window_trace(expr: SetExpr, a, delta) -> LocalTrace:
     a, delta = Q(a), Q(delta)
     if delta <= 0:
-        raise ValueError("window radius must be positive")
+        raise RangeError("window radius must be positive")
     window = Union((Interval(a - delta, a, False, False), Interval(a, a + delta, False, False)))
     clipped = _normal(Intersection((expr, window)))
     ivs = []
@@ -2040,18 +1879,14 @@ def window_trace(expr: SetExpr, a, delta) -> LocalTrace:
 # --- accumulation structure at a point ------------------------------------------
 
 
-def _family_member_strictly_around(fam: IntervalFamily, a: Q) -> tuple[Q, Q] | None:
-    """(dist to member's low edge, to its high edge) when a is interior to a
-    canonical-tail member."""
-    n = _family_member_containing(fam, a)
-    if n is None:
-        return None
-    info = family_tail_info(fam)
-    work = fam if info.side > 0 else _family_reflect(fam)
-    a_eff = a if info.side > 0 else -a
-    lo_v, hi_v = work.lo.eval(n), work.hi.eval(n)
-    if lo_v < a_eff < hi_v:
-        return a_eff - lo_v, hi_v - a_eff
+def _removed_around(piece: Piece, a: Q) -> Q | None:
+    """Distance from a to the edges of a removed family member that holds a
+    strictly inside, if one does."""
+    for r in piece.removals:
+        if isinstance(r, IntervalFamily):
+            hit = _family_member_at(r, a)
+            if hit is not None and hit[1].lo < a < hit[1].hi:
+                return min(a - hit[1].lo, hit[1].hi - a)
     return None
 
 
@@ -2064,9 +1899,8 @@ def piece_reaches(piece: Piece, a: Q) -> bool:
     neighborhood of a.
     """
     core = piece.core
-    for r in piece.removals:
-        if isinstance(r, IntervalFamily) and _family_member_strictly_around(r, a):
-            return False
+    if _removed_around(piece, a) is not None:
+        return False
     if isinstance(core, Interval):
         return _iv_distance(core, a) == 0  # intervals are nondegenerate
     if isinstance(core, FinitePoints):
@@ -2078,41 +1912,16 @@ def piece_reaches(piece: Piece, a: Q) -> bool:
     if isinstance(core, Sequence):
         return core.term.limit == a
     if isinstance(core, IntervalFamily):
-        info = family_tail_info(core)
-        if info.limit == a:
-            return True
-        return _family_member_containing(core, a) is not None or _family_boundary_touch(core, a)
+        return family_tail_info(core).limit == a or _family_member_at(core, a) is not None
     raise AssertionError
-
-
-def _family_boundary_touch(fam: IntervalFamily, a: Q) -> bool:
-    """a sits on the closed edge of some tail member."""
-    info = family_tail_info(fam)
-    work = fam if info.side > 0 else _family_reflect(fam)
-    a_eff = a if info.side > 0 else -a
-    if a_eff <= work.lo.limit:
-        return False
-    top = work.hi.eval(work.start)
-    if a_eff > top:
-        return False
-    n = _monotone_first(work.hi, work.start, a_eff)
-    for cand in {n, None if n is None else n - 1, work.start}:
-        if cand is None or cand < work.start:
-            continue
-        lo_v, hi_v = work.lo.eval(cand), work.hi.eval(cand)
-        if lo_v <= a_eff <= hi_v:
-            return True
-    return False
 
 
 def piece_distance_floor(piece: Piece, a: Q) -> Q:
     """Positive lower bound on dist(a, piece minus {a}) for non-reaching pieces."""
     core = piece.core
-    for r in piece.removals:
-        if isinstance(r, IntervalFamily):
-            around = _family_member_strictly_around(r, a)
-            if around is not None:
-                return min(around)
+    hole = _removed_around(piece, a)
+    if hole is not None:
+        return hole
     if isinstance(core, Interval):
         d = _iv_distance(core, a)
         assert d > 0
@@ -2125,51 +1934,17 @@ def piece_distance_floor(piece: Piece, a: Q) -> Q:
         assert d > 0
         return d
     if isinstance(core, CantorAffine):
-        if core.contains(a):
-            return _cantor_distance_floor(core, a)
         return _cantor_distance_floor(core, a)
     if isinstance(core, Sequence):
-        if core.contains(a):
-            # a is an isolated member: gap to its neighbours
-            term, _ = _seq_canonical_term(core)
-            a_eff = a if term is core.term else -a
-            n = _monotone_first(term, core.start, a_eff)
-            gaps = []
-            if n is not None:
-                if n > core.start:
-                    gaps.append(term.eval(n - 1) - a_eff)
-                gaps.append(a_eff - term.eval(n + 1))
-            good = [g for g in gaps if g > 0]
-            return min(good) if good else Q(1, 2) * abs(a_eff - term.limit)
-        return _seq_min_distance(core, a)
+        return _seq_gap(core, a)
     if isinstance(core, IntervalFamily):
-        info = family_tail_info(core)
-        work = core if info.side > 0 else _family_reflect(core)
-        a_eff = a if info.side > 0 else -a
-        limit = work.lo.limit
-        if a_eff <= limit:
-            return limit - a_eff if a_eff < limit else _family_limit_gap(work)
-        top = work.hi.eval(work.start)
-        if a_eff > top:
-            return a_eff - top
-        n = _monotone_first(work.hi, work.start, a_eff)
-        cands = []
-        for idx in {n, None if n is None else n - 1}:
-            if idx is None or idx < work.start:
-                continue
-            lo_v, hi_v = work.lo.eval(idx), work.hi.eval(idx)
-            for edge in (lo_v, hi_v):
-                if abs(edge - a_eff) > 0:
-                    cands.append(abs(edge - a_eff))
-            if lo_v < a_eff < hi_v:
-                raise AssertionError("point inside a member cannot have a distance floor")
-        assert cands
-        return min(cands)
+        # a lies outside every member's closure: the nearest members are the
+        # last one beyond a and the first one between a and the limit
+        n = _family_split(core, a)
+        if n is None:
+            return abs(a - family_tail_info(core).limit)
+        return min(_iv_distance(_member_interval(core, k), a) for k in (n - 1, n) if k >= core.start)
     raise AssertionError
-
-
-def _family_limit_gap(work: IntervalFamily) -> Q:
-    raise AssertionError("family accumulates at its limit; no distance exists")
 
 
 def vanish_radius(pieces: tuple[Piece, ...], a: Q) -> Q | None:

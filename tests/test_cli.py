@@ -105,3 +105,23 @@ def test_structured_error(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_ERROR
     assert payload["error"] == "DslSyntaxError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cardinality", "--set", "[0,1]", "--at", "0", "--radius", "0"],
+        ["cardinality", "--set", "[0,1]", "--at", "0", "--radius", "-1"],
+        ["estimate", "--set", "[0,1]", "--radius", "0"],
+        ["estimate", "--set", "[0,1]", "--samples", "0"],
+        ["measure", "--set", "(" * 3000 + "[0,1]" + ")" * 3000],
+        ["measure", "--set", "[0,1]" + " \\ [5,6]" * 3000],
+        ["classify", "--fn", "piecewise { 1 on " + "(" * 3000 + "Q(R)" + ")" * 3000 + "; else 0 }", "--at", "0"],
+    ],
+    ids=["radius-0", "radius-negative", "estimate-radius-0", "samples-0", "parens-3000", "differences-3000", "fn-parens-3000"],
+)
+def test_out_of_range_input_is_a_typed_error(argv, capsys):
+    code = run(["--format", "structured", *argv])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert payload["error"] == "RangeError"

@@ -61,6 +61,19 @@ def test_geometric_ratio_range_error():
         parse_set("seq((3/2)^n)")
 
 
+def test_nesting_cap():
+    # parentheses and chained differences both deepen the tree, one level each
+    assert parse_set("(" * 100 + "[0,1]" + ")" * 100) is not None
+    with pytest.raises(RangeError):
+        parse_set("(" * 101 + "[0,1]" + ")" * 101)
+    assert parse_set("[0,1] \\ (" * 50 + "[0,1]" + ")" * 50) is not None
+    with pytest.raises(RangeError):
+        parse_set("[0,1] \\ (" * 51 + "[0,1]" + ")" * 51)
+    assert parse_set("[0,1]" + " \\ [5,6]" * 100) is not None
+    with pytest.raises(RangeError):
+        parse_set("[0,1]" + " \\ [5,6]" * 101)
+
+
 def test_comments_and_files(tmp_path):
     src = "# the set under study\n[0, 1] | points(2)  # tail\n"
     path = tmp_path / "demo.set"

@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 import pytest
 
 from limitlab.analyzers import cardinality, density_at, has_no_accumulation_point, measure
-from limitlab.dsl import set_to_text
+from limitlab.dsl import parse_set, set_to_text
 from limitlab.errors import LimitLabError
 from limitlab.limits import LimitType, check, classify
 from limitlab.sets import contains, window_trace
@@ -65,6 +65,28 @@ def test_reflection_of_set_trees(depth, seed, count):
         e = rand_set_expr(rng, depth)
         failures += [f"{set_to_text(e)}: {what}" for what in _set_mismatches(e, rng)]
     assert not failures, failures[:10]
+
+
+# one-sided tails the random trees rarely build: families that collapse into
+# an interval, touch, or have positive density at their limit, and removals
+# of such families
+_TAIL_SETS = (
+    "[-1, 1] \\ family(1/n - 1/2/n^2, 1/n)",
+    "[0, 1] \\ family(1/n - 1/2/n^2, 1/n)",
+    "family(1/n - 1/2/n^2, 1/n) | [-1, 0]",
+    "family(0, 1/n) \\ seq(1/n)",
+    "family(1/2*(1/2)^n, (1/2)^n, 1, 0, 0) | points(0)",
+    "family(1/4*(1/2)^n, (1/2)^n)",
+    "family(1/2 + 1/4*(1/2)^n, 1/2 + (1/2)^n, 2, 1, 1) \\ [3/4, 1]",
+    "[-1, 1] \\ family(1/n - (1/2)^n, 1/n)",
+    "family(1/n - (1/2)^n, 1/n) \\ points(1/3, 1/4)",
+    "seq(1/n) | seq(-1/n^2) | [1/3, 1/2]",
+)
+
+
+@pytest.mark.parametrize("text", _TAIL_SETS)
+def test_reflection_of_tail_sets(text):
+    assert _set_mismatches(parse_set(text), random.Random(text)) == []
 
 
 def test_reflection_of_limit_verdicts():
