@@ -736,7 +736,7 @@ def _family_resolution(fam: IntervalFamily):
     lo, hi = fam.lo, fam.hi
     if lo.limit != hi.limit:
         # distinct endpoint limits: members eventually overlap, collapse
-        s_ov, n_ov = (hi - lo.shifted()).eventual_sign()
+        n_ov = (hi - lo.shifted()).eventual_sign()[1]
         return _family_collapse(fam, n_ov, 1)
     limit = lo.limit
     s_lo, n_lo = (lo - Term.constant(limit)).eventual_sign()
@@ -754,7 +754,7 @@ def _family_resolution(fam: IntervalFamily):
         return _family_collapse(fam, max(n_lo, n_hi), side)
     # > 0: consecutive members strictly separated
     s_d, n_d = (near_d - far_d.shifted()).eventual_sign()
-    s_w, n_w = (hi - lo).eventual_sign()
+    n_w = (hi - lo).eventual_sign()[1]
     if s_d > 0:
         n_star = max(fam.start, n_lo, n_hi, n_d, n_w)
         pieces = tuple((m, ()) for m in _family_head(fam, n_star))
