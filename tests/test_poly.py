@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -76,3 +77,128 @@ def test_to_text():
     p = Poly.make([Q(-1, 2), 0, 1])
     assert p.to_text() == "-1/2 + x^2"
     assert Poly.make([0]).to_text() == "0"
+
+
+# --- golden roots ---------------------------------------------------------------
+#
+# `golden/roots.json` freezes `isolate_roots` and `refine_root` (at widths
+# 2^-20 and 2^-40) on every polynomial whose roots classify, decompose,
+# nonzero_set and the divisor check reach over corpus(11, 60), plus seeded
+# products of linear and quadratic factors of degree 1-4 with repeated,
+# rational and irrational roots.  Inputs whose square-free part has a constant
+# or leading coefficient above 10^9 are left out: an earlier root finder
+# enumerated divisors and gave up on those, returning rational roots as
+# intervals.  Rewrite the file after a deliberate change with
+# `PYTHONPATH=src python tests/test_poly.py` and review the diff.
+
+import json
+import random
+from pathlib import Path
+
+ROOTS_GOLDEN = Path(__file__).parent / "golden" / "roots.json"
+GOLDEN_WIDTHS = (("2^-20", Q(1, 2**20)), ("2^-40", Q(1, 2**40)))
+_COEFF_CAP = 10**9
+
+
+def _small_coefficients(p: Poly) -> bool:
+    sf = p.square_free()
+    den = 1
+    for c in sf.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in sf.coeffs]
+    while ints and ints[0] == 0:
+        ints.pop(0)
+    return all(abs(c) <= _COEFF_CAP for c in (ints[:1] + ints[-1:]))
+
+
+def _reached_polys() -> list[Poly]:
+    from conftest import corpus
+    from limitlab import functions
+    from limitlab.decompose import decompose
+    from limitlab.errors import LimitLabError
+    from limitlab.limits import LimitType, classify
+
+    seen: dict[tuple, Poly] = {}
+    real = functions.isolate_roots
+
+    def record(p):
+        seen.setdefault(p.coeffs, p)
+        return real(p)
+
+    functions.isolate_roots = record
+    try:
+        for f, a in corpus(11, 60):
+            rep = classify(f, a)
+            calls = [lambda: functions.nonzero_set(f), lambda: functions._check_nonvanishing(f)]
+            for t in (LimitType.T5, LimitType.T6):
+                out = rep.outcomes[t]
+                if out.exists == "yes":
+                    calls.append(lambda t=t, L=out.value: decompose(f, a, L, t))
+            for call in calls:
+                try:
+                    call()
+                except LimitLabError:
+                    pass
+    finally:
+        functions.isolate_roots = real
+    return list(seen.values())
+
+
+def _random_polys(seed: int = 7, count: int = 300) -> list[Poly]:
+    rng = random.Random(seed)
+    x = Poly.x()
+
+    def rat(span=4):
+        den = rng.choice((1, 2, 3, 5, 7, 12))
+        return Q(rng.randint(-span * den, span * den), den)
+
+    out = []
+    while len(out) < count:
+        p = Poly.const(rng.choice((1, -1)) * abs(rat() or Q(1)))
+        while p.degree < rng.randint(1, 4):
+            roll = rng.random()
+            if roll < 0.4:
+                factor = x - Poly.const(rat())
+            elif roll < 0.7:
+                k = rng.choice((2, 3, 5, 6, 7, Q(1, 2), Q(3, 4), Q(5, 9)))
+                factor = x * x - Poly.const(k)
+            else:
+                factor = Poly.make([rat(), rat(), rng.choice((1, 2, 3, -1))])
+            p = p * factor
+            if p.degree <= 2 and rng.random() < 0.3:
+                p = p * factor  # a repeated root
+        if p.degree <= 4:
+            out.append(p)
+    return out
+
+
+def _loc_text(loc):
+    return str(loc) if isinstance(loc, Q) else [str(loc[0]), str(loc[1])]
+
+
+def _roots_record(p: Poly) -> dict:
+    locs = isolate_roots(p)
+    refined = {
+        name: [_loc_text(refine_root(p, loc[0], loc[1], w)) for loc in locs if not isinstance(loc, Q)]
+        for name, w in GOLDEN_WIDTHS
+    }
+    return {"poly": [str(c) for c in p.coeffs], "roots": [_loc_text(loc) for loc in locs], "refined": refined}
+
+
+def golden_roots() -> list[dict]:
+    polys = [p for p in _reached_polys() + _random_polys() if _small_coefficients(p)]
+    return [_roots_record(p) for p in polys]
+
+
+def test_golden_roots():
+    frozen = json.loads(ROOTS_GOLDEN.read_text(encoding="utf-8"))
+    assert frozen
+    for rec in frozen:
+        p = Poly.make(Q(c) for c in rec["poly"])
+        assert _roots_record(p) == rec
+
+
+if __name__ == "__main__":
+    ROOTS_GOLDEN.parent.mkdir(exist_ok=True)
+    ROOTS_GOLDEN.write_text(json.dumps(golden_roots(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {ROOTS_GOLDEN}")
