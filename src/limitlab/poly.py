@@ -1,8 +1,21 @@
 """Dense univariate polynomials over the rationals, with exact root isolation.
 
-Roots are reported either exactly (rational roots) or as open isolating
-intervals with rational endpoints that can be refined by sign-change
-bisection to any requested width.
+Every rational root is reported exactly, whatever the size of the
+coefficients; every irrational root as an open isolating interval with
+rational endpoints that `refine_root` narrows by sign-change bisection to any
+requested width.  The root layer clears denominators once and works on the
+primitive integer form of the polynomial:
+
+- degree 1: the root itself;
+- degree 2: the discriminant and `math.isqrt` decide between no real root, a
+  double root, two rational roots and two irrational ones;
+- degree 3 and up: one Sturm chain of the square-free part counts roots on a
+  bisection grid; each isolated root is narrowed below 1/a^2, a the leading
+  coefficient, where `limit_denominator(a)` of the midpoint is its only
+  possible rational value, tested exactly.
+
+Irrational roots are then isolated on the bisection grid of (-B, B), B the
+root bound of the square-free part with its rational roots divided out.
 """
 
 from __future__ import annotations
@@ -159,84 +172,169 @@ def _q_text(q: Q) -> str:
 
 
 # --- root isolation -------------------------------------------------------
+#
+# Roots are found on a primitive integer form of the polynomial: coprime
+# integer coefficients, constant first, equal to the polynomial times a
+# positive rational, so that every sign is kept.  Signs at a rational point
+# n/d (d > 0) come from the homogeneous value d^deg · c(n/d), an integer.
+# Points on a bisection grid are carried as numerators over one shared
+# denominator, so no Fraction is built until a result is returned.
+
+IntPoly = list[int]
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2].rem(chain[-1])))
-    chain.pop()
+def _int_form(p: Poly) -> IntPoly:
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _primitive(c: IntPoly) -> IntPoly:
+    g = math.gcd(*c)
+    return [x // g for x in c] if g > 1 else c
+
+
+def _value(c: IntPoly, n: int, d: int) -> int:
+    """d^deg · c(n/d): an integer with the sign of c(n/d) when d > 0."""
+    acc = c[-1]
+    dp = 1
+    for ci in c[-2::-1]:
+        dp *= d
+        acc = acc * n + ci * dp
+    return acc
+
+
+def _pdivmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """(q, r) with m·a = q·b + r for some integer m > 0 and deg r < deg b."""
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    db = len(b) - 1
+    rem = list(a)
+    quot = [0] * max(len(a) - db, 1)
+    while len(rem) > db:
+        top = rem.pop()
+        if top:
+            k = len(rem) - db
+            f = sign * top
+            if scale != 1:
+                rem = [scale * x for x in rem]
+                quot = [scale * x for x in quot]
+            for i in range(db):
+                rem[k + i] -= f * b[i]
+            quot[k] += f
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _derivative(c: IntPoly) -> IntPoly:
+    return _primitive([i * c[i] for i in range(1, len(c))])
+
+
+def _square_free(c: IntPoly) -> IntPoly:
+    a, b = c, _derivative(c)
+    while b:
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return c if len(a) <= 1 else _primitive(_pdivmod(c, a)[0])
+
+
+def _sturm(c: IntPoly) -> list[IntPoly]:
+    chain = [c]
+    nxt = _derivative(c)
+    while nxt:
+        chain.append(nxt)
+        nxt = _primitive([-x for x in _pdivmod(chain[-2], chain[-1])[1]])
     return chain
 
 
-def _sign_variations(values: Iterable[Q]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain: list[IntPoly], n: int, d: int) -> int:
+    count = 0
+    last = 0
+    for c in chain:
+        v = _value(c, n, d)
+        if v:
+            if (v > 0) != (last > 0) and last:
+                count += 1
+            last = v
+    return count
+
+
+def _root_bound(c: IntPoly) -> Q:
+    """All real roots lie in (-B, B)."""
+    return 1 + Q(max(abs(x) for x in c[:-1]), abs(c[-1]))
+
+
+def _bisect(chain: list[IntPoly], skip: list[Q], bound: Q) -> list[tuple[int, int, int]]:
+    """Cells (a, b, d) of the dyadic grid on (-bound, bound) such that
+    (a/d, b/d] holds exactly one root of chain[0] that is not in skip."""
+    d = bound.denominator
+    lo, hi = -bound.numerator, bound.numerator
+    stack = [(lo, hi, d, _variations(chain, lo, d), _variations(chain, hi, d))]
+    cells = []
+    while stack:
+        a, b, d, va, vb = stack.pop()
+        n = va - vb - sum(1 for r in skip if a * r.denominator < r.numerator * d <= b * r.denominator)
+        if n == 1:
+            cells.append((a, b, d))
+        elif n > 1:
+            m = a + b
+            vm = _variations(chain, m, 2 * d)
+            stack.append((2 * a, m, 2 * d, va, vm))
+            stack.append((m, 2 * b, 2 * d, vm, vb))
+    return cells
+
+
+def _rational_roots(sf: IntPoly, chain: list[IntPoly]) -> list[Q]:
+    """Rational roots of the square-free sf.  Each has a denominator dividing
+    the leading coefficient a, and two such numbers are at least 1/a^2 apart,
+    so a cell narrower than that holds one candidate at most."""
+    lead = abs(sf[-1])
+    roots = []
+    for a, b, d in _bisect(chain, [], _root_bound(sf)):
+        v_hi = _value(sf, b, d)
+        if v_hi == 0:
+            roots.append(Q(b, d))
+            continue
+        while (b - a) * lead * lead >= d:
+            m = a + b
+            d *= 2
+            v = _value(sf, m, d)
+            if v == 0:
+                roots.append(Q(m, d))
+                break
+            a, b = (2 * a, m) if (v > 0) == (v_hi > 0) else (m, 2 * b)
+        else:
+            r = Q(a + b, 2 * d).limit_denominator(lead)
+            if a * r.denominator < r.numerator * d < b * r.denominator and _value(sf, r.numerator, r.denominator) == 0:
+                roots.append(r)
+    return roots
+
+
+def _quadratic_roots(c: IntPoly) -> list[Q] | None:
+    """Real roots of a quadratic, or None when they are irrational."""
+    c0, c1, c2 = c
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return None
+    return sorted({Q(-c1 - s, 2 * c2), Q(-c1 + s, 2 * c2)})
 
 
 def count_roots(p: Poly, lo: Q, hi: Q) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi]."""
-    chain = sturm_chain(p.square_free())
-    va = _sign_variations(q(lo) for q in chain)
-    vb = _sign_variations(q(hi) for q in chain)
-    return va - vb
+    if p.is_zero():
+        return 0
+    chain = _sturm(_square_free(_int_form(p)))
+    lo, hi = _as_q(lo), _as_q(hi)
+    return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, hi.numerator, hi.denominator)
 
 
-def root_bound(p: Poly) -> Q:
-    """All real roots lie in (-B, B)."""
-    if p.degree < 1:
-        return Q(1)
-    lead = abs(p.coeffs[-1])
-    return Q(1) + max(abs(c) / lead for c in p.coeffs[:-1])
-
-
-def _int_divisors(n: int, cap: int = 3000) -> list[int] | None:
-    """Positive divisors of |n|, or None when enumeration would be too costly."""
-    n = abs(n)
-    if n == 0:
-        return [0]
-    if n > 10**12:
-        return None
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-            if len(out) > cap:
-                return None
-        d += 1
-    return out
-
-
-def _rational_roots(p: Poly) -> list[Q]:
-    """All rational roots of p (each listed once)."""
-    if p.degree < 1:
-        return []
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ic = [int(c * denom_lcm) for c in p.coeffs]
-    while ic and ic[0] == 0:
-        ic.pop(0)
-    roots = []
-    if len(ic) < len(p.coeffs):
-        roots.append(Q(0))
-    if len(ic) <= 1:
-        return roots
-    ps = _int_divisors(ic[0])
-    qs = _int_divisors(ic[-1])
-    if ps is None or qs is None:
-        return roots  # enclosures still isolate these roots soundly
-    seen = set(roots)
-    for a in ps:
-        for b in qs:
-            for cand in (Q(a, b), Q(-a, b)):
-                if cand not in seen and p(cand) == 0:
-                    seen.add(cand)
-                    roots.append(cand)
-    return sorted(roots)
+def sturm_chain(p: Poly) -> list[Poly]:
+    """Sturm sequence of p, each member scaled by a positive rational."""
+    if p.is_zero():
+        return [p]
+    return [Poly.make(c) for c in _sturm(_int_form(p))]
 
 
 RootLocation = Union[Q, tuple[Q, Q]]
@@ -246,35 +344,36 @@ def isolate_roots(p: Poly) -> list[RootLocation]:
     """Locations of the distinct real roots of p, sorted.
 
     Rational roots appear as exact Fractions; the rest as open intervals
-    (lo, hi) containing exactly one root, with p(lo) != 0 != p(hi).
+    (lo, hi) containing exactly one root, with p(lo) != 0 != p(hi).  The
+    intervals are cells of the bisection grid on (-B, B), B the root bound of
+    the square-free part with its rational roots divided out, each halved
+    further until it is clear of every rational root.
     """
-    sf = p.square_free()
-    if sf.degree < 1:
+    c = _int_form(p)
+    sf = c if len(c) <= 3 else _square_free(c)
+    if len(sf) <= 1:
         return []
-    rational = _rational_roots(sf)
+    if len(sf) == 2:
+        return [Q(-sf[0], sf[1])]
+    if len(sf) == 3:
+        rational = _quadratic_roots(sf)
+        if rational is not None:
+            return rational
+    chain = _sturm(sf)
+    rational = [] if len(sf) == 3 else _rational_roots(sf, chain)
     rest = sf
     for r in rational:
-        rest = rest.divmod_(Poly.make([-r, 1]))[0]
+        rest = _primitive(_pdivmod(rest, [-r.numerator, r.denominator])[0])
     locations: list[RootLocation] = list(rational)
-    if rest.degree >= 1:
-        bound = root_bound(rest)
-        stack = [(-bound, bound)]
-        while stack:
-            lo, hi = stack.pop()
-            n = count_roots(rest, lo, hi)
-            if n == 0:
-                continue
-            if n == 1 and rest(lo) != 0 and rest(hi) != 0:
-                # shrink until no extracted rational root touches the interval
-                while any(lo <= r <= hi for r in rational):
-                    lo, hi = refine_root(rest, lo, hi, (hi - lo) / 2)
-                locations.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            if rest(mid) == 0:  # cannot happen: rational roots removed
-                raise AssertionError("unexpected rational root in residual factor")
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+    if len(rest) >= 2:
+        for a, b, d in _bisect(chain, rational, _root_bound(rest)):
+            if rational:
+                s_lo = _value(rest, a, d) > 0
+                while any(a * r.denominator <= r.numerator * d <= b * r.denominator for r in rational):
+                    m = a + b
+                    d *= 2
+                    a, b = (m, 2 * b) if (_value(rest, m, d) > 0) == s_lo else (2 * a, m)
+            locations.append((Q(a, d), Q(b, d)))
 
     def _key(loc):
         return loc if isinstance(loc, Q) else (loc[0] + loc[1]) / 2
@@ -283,21 +382,29 @@ def isolate_roots(p: Poly) -> list[RootLocation]:
 
 
 def refine_root(p: Poly, lo: Q, hi: Q, width: Q) -> tuple[Q, Q]:
-    """Shrink an isolating interval by bisection until hi - lo <= width."""
-    sf = p.square_free()
-    flo = sf(lo)
-    if flo == 0:
+    """Shrink an isolating interval by bisection until hi - lo <= width.
+
+    Bisection follows the sign of p when p changes sign across the interval,
+    and of its square-free part when the root has even multiplicity."""
+    c = _int_form(p)
+    lo, hi, width = _as_q(lo), _as_q(hi), _as_q(width)
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    v_lo = _value(c, a, d)
+    if v_lo == 0:
         raise ValueError("interval endpoint is a root")
-    sign_lo = 1 if flo > 0 else -1
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = sf(mid)
-        if fm == 0:
+    if v_lo * _value(c, b, d) >= 0:
+        c = _square_free(c)
+        v_lo = _value(c, a, d)
+    s_lo = v_lo > 0
+    while (b - a) * width.denominator > width.numerator * d:
+        m = a + b
+        v = _value(c, m, 2 * d)
+        if v == 0:
             # landed exactly on the (rational) root: return a tight bracket
-            quarter = min(width, hi - lo) / 4
+            mid = Q(m, 2 * d)
+            quarter = min(width, Q(b - a, d)) / 4
             return (mid - quarter, mid + quarter)
-        if (1 if fm > 0 else -1) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+        a, b = (m, 2 * b) if (v > 0) == s_lo else (2 * a, m)
+        d *= 2
+    return Q(a, d), Q(b, d)

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitlab.poly import Poly, count_roots, isolate_roots, refine_root, sturm_chain
 
@@ -77,6 +78,61 @@ def test_to_text():
     p = Poly.make([Q(-1, 2), 0, 1])
     assert p.to_text() == "-1/2 + x^2"
     assert Poly.make([0]).to_text() == "0"
+
+
+
+# --- exact rational roots at any coefficient size ---------------------------------
+
+
+def test_large_rational_roots_are_exact():
+    big = 3**27
+    assert isolate_roots(Poly.make([-(big**2), 0, 1])) == [Q(-big), Q(big)]
+    assert isolate_roots(Poly.make([0, -(big**2), 0, 1])) == [Q(-big), Q(0), Q(big)]
+
+
+def test_rational_root_with_large_denominator():
+    # (3^27 x - 5)(x^3 - 2): a rational root 5/3^27 next to the real cube root of 2
+    p = Poly.make([-5, 3**27]) * Poly.make([-2, 0, 0, 1])
+    locs = isolate_roots(p)
+    assert locs[0] == Q(5, 3**27)
+    (lo, hi), = locs[1:]
+    assert lo**3 < 2 < hi**3 and count_roots(p, lo, hi) == 1
+
+
+def test_large_rational_roots_give_an_exact_sandwich():
+    from limitlab.functions import isolate_superlevel
+
+    assert isolate_superlevel(Poly.make([0, 0, 1]), 0, 3**54).gap == 0
+
+
+def _is_square(q: Q) -> bool:
+    return q >= 0 and math.isqrt(q.numerator) ** 2 == q.numerator and math.isqrt(q.denominator) ** 2 == q.denominator
+
+
+_small_rat = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    linear=st.lists(st.tuples(st.integers(-(10**15), 10**15), st.integers(1, 10**15)), max_size=3),
+    quadratic=st.lists(st.tuples(_small_rat, _small_rat.filter(lambda k: k != 0 and not _is_square(k))), max_size=2),
+    scale=_small_rat.filter(lambda q: q != 0),
+)
+def test_roots_of_products_of_linear_and_irreducible_quadratic_factors(linear, quadratic, scale):
+    """Exactly the linear factors' roots come back as Fractions; each irrational
+    root u ± sqrt(k) of a factor (x - u)^2 - k with k > 0 gets one interval."""
+    p = Poly.const(scale)
+    for num, den in linear:
+        p = p * Poly.make([-num, den])
+    for u, k in quadratic:
+        p = p * Poly.make([u * u - k, -2 * u, 1])
+    locs = isolate_roots(p)
+    assert [loc for loc in locs if isinstance(loc, Q)] == sorted({Q(num, den) for num, den in linear})
+    intervals = [loc for loc in locs if not isinstance(loc, Q)]
+    assert len(intervals) == 2 * len({(u, k) for u, k in quadratic if k > 0})
+    for lo, hi in intervals:
+        assert p(lo) != 0 and p(hi) != 0
+        assert count_roots(p, lo, hi) == 1
 
 
 # --- golden roots ---------------------------------------------------------------
