@@ -242,7 +242,7 @@ def tail_density_class(fam: IntervalFamily) -> tuple[str, Q | None]:
     width = fam.hi - fam.lo
     position = family_tail_info(fam).far  # distance of the far edge from the limit
     wk, wkey, wc = _dominant(width)
-    pk, pkey, pc = _dominant(position)
+    pk, pkey, _ = _dominant(position)
     pos_sum = _abs_coeff_sum(position)
 
     if pk == "pow":

@@ -185,7 +185,7 @@ class IntervalFamily(SetExpr):
     start: int
 
     def contains(self, x: Q) -> bool:
-        raw, tail, info = _family_resolution(self)
+        raw, tail, _ = _family_resolution(self)
         if tail == self:
             hit = _family_member_at(self, x)
             return hit is not None and hit[1].contains(x)
@@ -815,7 +815,7 @@ def _family_collapse(fam: IntervalFamily, n_hint: int, side: int):
 @lru_cache(maxsize=None)
 def family_tail_info(fam: IntervalFamily) -> FamilyTailInfo:
     """Tail metadata for an already-canonical family atom."""
-    raw, tail, info = _family_resolution(fam)
+    _, tail, info = _family_resolution(fam)
     if tail != fam:
         raise AssertionError("family_tail_info requires a canonical tail atom")
     return info
@@ -1382,7 +1382,6 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
 
 def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
     core = p.core
-    info = family_tail_info(tail)
     hull = family_hull(tail)
     if isinstance(core, FinitePoints):
         kept = tuple(q for q in core.points if not _atom_contains(tail, q))
@@ -1531,7 +1530,7 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
             else:
                 # solid sits away from the limit: split the tail at its near edge
                 if near is None:
-                    raise UnsupportedIntersection("unbounded solid overlapping a family tail")
+                    continue  # it lies at d <= 0, where no member is
                 cut = _monotone_first(info.far, keep.start, near[0])
                 if cut is None:
                     continue
@@ -1676,7 +1675,6 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
             cantor_out.append(cp)
 
     # points: drop covered ones, then extend adjacent solids
-    covered = []
     other_pieces = (
         [Piece(s, ()) for s in solids]
         + merged_shaved

@@ -68,8 +68,8 @@ def test_reflection_of_set_trees(depth, seed, count):
 
 
 # one-sided tails the random trees rarely build: families that collapse into
-# an interval, touch, or have positive density at their limit, and removals
-# of such families
+# an interval, touch, or have positive density at their limit, removals of
+# such families, and a family beside an unbounded solid that touches its limit
 _TAIL_SETS = (
     "[-1, 1] \\ family(1/n - 1/2/n^2, 1/n)",
     "[0, 1] \\ family(1/n - 1/2/n^2, 1/n)",
@@ -81,6 +81,7 @@ _TAIL_SETS = (
     "[-1, 1] \\ family(1/n - (1/2)^n, 1/n)",
     "family(1/n - (1/2)^n, 1/n) \\ points(1/3, 1/4)",
     "seq(1/n) | seq(-1/n^2) | [1/3, 1/2]",
+    "family(1/n - (1/2)^n, 1/n) | (-inf, 0]",
 )
 
 

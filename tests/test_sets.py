@@ -230,6 +230,21 @@ def test_trace_excludes_center():
         assert not piece_contains(piece, Q(0))
 
 
+@pytest.mark.parametrize(
+    "tail, solid",
+    [("family(1/n - (1/2)^n, 1/n)", "(-inf, 0]"), ("family(-1/n, -1/n + (1/2)^n)", "[0, inf)")],
+)
+def test_family_tail_beside_unbounded_solid_touching_its_limit(tail, solid):
+    # the solid meets the tail's hull only at the limit, which no member reaches
+    fam, box = parse_set(tail), parse_set(solid)
+    e = normalize(parse_set(f"{tail} | {solid}"))
+    assert normalize(e) == e
+    probes = [Q(0), Q(5, 4), Q(-5, 4), Q(-7), Q(7)]
+    probes += [s * x for s in (1, -1) for n in range(1, 40) for x in (Q(1, n), Q(1, n) - Q(1, 2**n), Q(1, n) - Q(1, 2 ** (n + 1)))]
+    for x in probes:
+        assert contains(e, x) == (contains(fam, x) or contains(box, x)), x
+
+
 # --- known defect: the canonical union drops removals of thin cores ----------------
 # A Sequence or CantorAffine core that carries removals keeps its whole atom,
 # so a thin set minus itself can come back non-empty.  These pin the defect
