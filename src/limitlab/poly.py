@@ -388,6 +388,8 @@ def refine_root(p: Poly, lo: Q, hi: Q, width: Q) -> tuple[Q, Q]:
     and of its square-free part when the root has even multiplicity."""
     c = _int_form(p)
     lo, hi, width = _as_q(lo), _as_q(hi), _as_q(width)
+    if width <= 0:
+        raise ValueError("width must be positive")
     d = math.lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
     v_lo = _value(c, a, d)

@@ -1,10 +1,19 @@
+import json
 import math
+import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limitlab import functions
+from limitlab.decompose import decompose
+from limitlab.errors import LimitLabError
+from limitlab.limits import LimitType, classify
 from limitlab.poly import Poly, count_roots, isolate_roots, refine_root, sturm_chain
+
+from conftest import corpus
 
 
 def test_eval_and_arithmetic():
@@ -69,6 +78,11 @@ def test_refine_root_width():
     assert lo2 * lo2 < 2 < hi2 * hi2
 
 
+def test_refine_root_needs_a_positive_width():
+    with pytest.raises(ValueError):
+        refine_root(Poly.make([-2, 0, 1]), Q(1), Q(2), Q(0))
+
+
 def test_no_real_roots():
     p = Poly.make([1, 0, 1])  # x^2 + 1
     assert isolate_roots(p) == []
@@ -100,9 +114,7 @@ def test_rational_root_with_large_denominator():
 
 
 def test_large_rational_roots_give_an_exact_sandwich():
-    from limitlab.functions import isolate_superlevel
-
-    assert isolate_superlevel(Poly.make([0, 0, 1]), 0, 3**54).gap == 0
+    assert functions.isolate_superlevel(Poly.make([0, 0, 1]), 0, 3**54).gap == 0
 
 
 def _is_square(q: Q) -> bool:
@@ -147,10 +159,6 @@ def test_roots_of_products_of_linear_and_irreducible_quadratic_factors(linear, q
 # intervals.  Rewrite the file after a deliberate change with
 # `PYTHONPATH=src python tests/test_poly.py` and review the diff.
 
-import json
-import random
-from pathlib import Path
-
 ROOTS_GOLDEN = Path(__file__).parent / "golden" / "roots.json"
 GOLDEN_WIDTHS = (("2^-20", Q(1, 2**20)), ("2^-40", Q(1, 2**40)))
 _COEFF_CAP = 10**9
@@ -168,12 +176,6 @@ def _small_coefficients(p: Poly) -> bool:
 
 
 def _reached_polys() -> list[Poly]:
-    from conftest import corpus
-    from limitlab import functions
-    from limitlab.decompose import decompose
-    from limitlab.errors import LimitLabError
-    from limitlab.limits import LimitType, classify
-
     seen: dict[tuple, Poly] = {}
     real = functions.isolate_roots
 
