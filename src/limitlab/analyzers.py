@@ -9,7 +9,6 @@ table over the dominant decay of member widths versus member positions.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,18 +30,6 @@ from .sets import (
 from .terms import Term
 
 Q = Fraction
-
-_DEFAULT_REFINE_ROUNDS = 64
-
-
-def _refine_cap() -> int:
-    raw = os.environ.get("LIMITLAB_MAX_REFINE")
-    if raw is None:
-        return _DEFAULT_REFINE_ROUNDS
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return _DEFAULT_REFINE_ROUNDS
 
 
 # --- result types ------------------------------------------------------------
@@ -106,17 +93,15 @@ def family_tail_measure(fam: IntervalFamily, target_gap: Q = Q(1, 2**40)) -> tup
     """Certified (low, high) for the total length of a canonical disjoint tail.
 
     Exact for purely geometric member widths; otherwise the bound gap halves
-    roughly once per refinement round until the round or term budget runs out.
+    roughly once per refinement round until the term budget runs out.
     """
     width = fam.hi - fam.lo
     prefix = Q(0)
     start = fam.start
     lo, hi = width.tail_sum_bounds(start)
-    rounds = 0
     chunk = 8
-    cap = _refine_cap()
     budget = _MAX_TAIL_TERMS
-    while hi - lo > 2 * target_gap and rounds < cap and budget > 0:
+    while hi - lo > 2 * target_gap and budget > 0:
         step = min(chunk, budget)
         for n in range(start, start + step):
             prefix += width.eval(n)
@@ -124,7 +109,6 @@ def family_tail_measure(fam: IntervalFamily, target_gap: Q = Q(1, 2**40)) -> tup
         budget -= step
         chunk = min(chunk * 2, 1024)
         lo, hi = width.tail_sum_bounds(start)
-        rounds += 1
     return prefix + lo, prefix + hi
 
 

@@ -39,8 +39,8 @@ def _box(iv: Interval, center: Q, spread: Q) -> tuple[Q, Q] | None:
 def _piece_candidates(piece: Piece, rng: random.Random, center: Q, spread: Q, want: int):
     core = piece.core
     out = []
-    if isinstance(core, Interval):
-        lo, hi = _box(core, center, spread)
+    if isinstance(core, (Interval, RationalsIn)):
+        lo, hi = _box(core.box(), center, spread)
         width = hi - lo
         for _ in range(want):
             den = rng.choice((64, 128, 256, 1024, 4096))
@@ -48,13 +48,6 @@ def _piece_candidates(piece: Piece, rng: random.Random, center: Q, spread: Q, wa
             out.append(x)
     elif isinstance(core, FinitePoints):
         out.extend(core.points)
-    elif isinstance(core, RationalsIn):
-        lo, hi = _box(core.iv, center, spread)
-        width = hi - lo
-        for _ in range(want):
-            den = rng.choice((64, 128, 256, 1024, 4096))
-            x = lo + width * Q(rng.randrange(1, den), den)
-            out.append(x)
     elif isinstance(core, CantorAffine):
         for _ in range(want):
             digits = [rng.choice((0, 2)) for _ in range(rng.randrange(2, 16))]

@@ -53,7 +53,8 @@ class SetExpr:
 
 @dataclass(frozen=True)
 class EmptySet(SetExpr):
-    pass
+    def contains(self, x: Q) -> bool:
+        return False
 
 
 EMPTY = EmptySet()
@@ -82,6 +83,9 @@ class Interval(SetExpr):
         if self.hi is not None and (x > self.hi or (x == self.hi and not self.hi_incl)):
             return False
         return True
+
+    def box(self) -> Interval:
+        return self
 
     def is_bounded(self) -> bool:
         return self.lo is not None and self.hi is not None
@@ -116,6 +120,9 @@ class RationalsIn(SetExpr):
     def contains(self, x: Q) -> bool:
         return self.iv.contains(x)  # every queried x is rational
 
+    def box(self) -> Interval:
+        return self.iv
+
 
 @dataclass(frozen=True)
 class CantorAffine(SetExpr):
@@ -139,6 +146,9 @@ class CantorAffine(SetExpr):
         if a > b:
             a, b = b, a
         return Interval(a, b, True, True)
+
+    def box(self) -> Interval:
+        return self.clip if self.clip is not None else self.span()
 
     def to_base(self, x: Q) -> Q:
         return (x - self.offset) / self.scale
@@ -169,6 +179,11 @@ class Sequence(SetExpr):
             return True
         return tail is not None and _seq_index(tail, x) is not None
 
+    def box(self) -> Interval:
+        """For a canonical tail: its first value and its limit."""
+        first = self.term.eval(self.start)
+        return Interval(min(self.limit, first), max(self.limit, first), True, True)
+
 
 @dataclass(frozen=True)
 class IntervalFamily(SetExpr):
@@ -190,9 +205,14 @@ class IntervalFamily(SetExpr):
             hit = _family_member_at(self, x)
             return hit is not None and hit[1].contains(x)
         for core, removals in raw:
-            if _atom_contains(core, x) and all(not _atom_contains(r, x) for r in removals):
+            if core.contains(x) and not any(r.contains(x) for r in removals):
                 return True
         return tail is not None and tail.contains(x)
+
+    def box(self) -> Interval:
+        """For a canonical tail: its first member and its limit."""
+        limit = family_tail_info(self).limit
+        return _iv_hull(_member_interval(self, self.start), Interval(limit, limit, True, True))
 
 
 # The germ facts that depend on an atom's kind alone: which kinds are
@@ -448,18 +468,7 @@ def _cantor_unit_meets_open(lo: Q | None, hi: Q | None) -> bool:
 
 def cantor_meets_interval(atom: CantorAffine, iv: Interval) -> bool:
     """Exact emptiness test for the clipped affine Cantor image against iv."""
-    box = iv if atom.clip is None else iv_intersect(atom.clip, iv)
-    if isinstance(box, EmptySet):
-        return False
-    if isinstance(box, FinitePoints):
-        return any(atom.contains(p) for p in box.points)
-    lo, hi = _to_base_interval(atom, box)
-    # included endpoints that are themselves members
-    if lo is not None and box_incl_lo(atom, box) and cantor_unit_info(lo)[0]:
-        return True
-    if hi is not None and box_incl_hi(atom, box) and cantor_unit_info(hi)[0]:
-        return True
-    return _cantor_unit_meets_open(lo, hi)
+    return not isinstance(_clip_cantor(atom, iv), EmptySet)
 
 
 def _to_base_interval(atom: CantorAffine, iv: Interval) -> tuple[Q | None, Q | None]:
@@ -489,27 +498,22 @@ def cantor_affine(offset, scale, clip: Interval | None = None) -> SetExpr:
 
 
 def _clip_cantor(atom: CantorAffine, iv: Interval) -> SetExpr:
-    box = iv if atom.clip is None else iv_intersect(atom.clip, iv)
+    """The atom intersected with iv: a clipped Cantor atom, its few points, or EMPTY."""
+    box = iv_intersect(atom.box(), iv)
     if isinstance(box, EmptySet):
         return EMPTY
     if isinstance(box, FinitePoints):
-        kept = tuple(p for p in box.points if CantorAffine(atom.offset, atom.scale).contains(p))
+        kept = tuple(p for p in box.points if atom.contains(p))
         return FinitePoints(kept) if kept else EMPTY
-    box2 = iv_intersect(box, atom.span())
-    if isinstance(box2, EmptySet):
-        return EMPTY
-    if isinstance(box2, FinitePoints):
-        kept = tuple(p for p in box2.points if CantorAffine(atom.offset, atom.scale).contains(p))
-        return FinitePoints(kept) if kept else EMPTY
-    lo, hi = _to_base_interval(atom, box2)
+    lo, hi = _to_base_interval(atom, box)
     if _cantor_unit_meets_open(lo, hi):
-        if _iv_covers(box2, atom.span()):
+        if _iv_covers(box, atom.span()):
             return CantorAffine(atom.offset, atom.scale, None)
-        return CantorAffine(atom.offset, atom.scale, box2)
+        return CantorAffine(atom.offset, atom.scale, box)
     pts = []
-    if lo is not None and box_incl_lo(atom, box2) and cantor_unit_info(lo)[0]:
+    if box_incl_lo(atom, box) and cantor_unit_info(lo)[0]:
         pts.append(atom.offset + atom.scale * lo)
-    if hi is not None and box_incl_hi(atom, box2) and cantor_unit_info(hi)[0]:
+    if box_incl_hi(atom, box) and cantor_unit_info(hi)[0]:
         pts.append(atom.offset + atom.scale * hi)
     return points(*pts) if pts else EMPTY
 
@@ -522,7 +526,7 @@ def cantor_accumulates_at(atom: CantorAffine, a: Q) -> bool:
         return False
     if atom.scale < 0:
         accL, accR = accR, accL
-    clip = atom.clip if atom.clip is not None else atom.span()
+    clip = atom.box()
     right_room = clip.hi is None or clip.hi > a
     left_room = clip.lo is None or clip.lo < a
     if not clip.contains(a):
@@ -550,14 +554,9 @@ def _cantor_distance_floor(atom: CantorAffine, a: Q) -> Q:
             side.append(g_hi - u)
         if side:
             bounds.append(min(side) * abs(atom.scale))
-    clip = atom.clip
-    if clip is not None:
-        d = _iv_distance(clip, a)
-        if d > 0:
-            bounds.append(d)
-    d_span = _iv_distance(atom.span(), a)
-    if d_span > 0:
-        bounds.append(d_span)
+    d = _iv_distance(atom.box(), a)
+    if d > 0:
+        bounds.append(d)
     if bounds:
         return max(bounds)
     # a is a member (or clip-boundary member) that the clip isolates:
@@ -821,13 +820,6 @@ def family_tail_info(fam: IntervalFamily) -> FamilyTailInfo:
     return info
 
 
-def family_hull(fam: IntervalFamily) -> Interval:
-    """Interval certainly containing the canonical tail: its limit and its
-    first member."""
-    limit = family_tail_info(fam).limit
-    return _iv_hull(_member_interval(fam, fam.start), Interval(limit, limit, True, True))
-
-
 def _family_split(fam: IntervalFamily, x: Q) -> int | None:
     """First index of the canonical tail whose member lies wholly between x
     and the limit (its far edge nearer the limit than x); None when x is not
@@ -855,7 +847,7 @@ def _family_member_at(fam: IntervalFamily, x: Q) -> tuple[int, Interval] | None:
 def _family_clip(fam: IntervalFamily, box: Interval) -> list["Piece"]:
     """Pieces of (canonical tail) ∩ box."""
     info = family_tail_info(fam)
-    if _iv_covers(box, family_hull(fam)):
+    if _iv_covers(box, fam.box()):
         return [Piece(fam, ())]
     near, far = _dist_edges(box, info.limit, info.side)
     # Members live strictly beyond the limit; a box that stays at or before
@@ -896,7 +888,9 @@ class Piece:
     (canonical tail), IntervalFamily (canonical tail).  Removals: RationalsIn,
     Sequence, CantorAffine (all measure zero), plus canonical family tails
     clipped inside the core (positive measure, accounted for explicitly by
-    the analyzers).
+    the analyzers).  Every core and removal atom but FinitePoints has a
+    box(): the closed interval it lies in, which the pairwise rules clip
+    other atoms to.
     """
 
     core: SetExpr
@@ -910,15 +904,7 @@ class Piece:
 
 
 def piece_contains(piece: Piece, x: Q) -> bool:
-    if not _atom_contains(piece.core, x):
-        return False
-    return all(not _atom_contains(r, x) for r in piece.removals)
-
-
-def _atom_contains(atom: SetExpr, x: Q) -> bool:
-    if isinstance(atom, EmptySet):
-        return False
-    return atom.contains(x)
+    return piece.core.contains(x) and not any(r.contains(x) for r in piece.removals)
 
 
 @dataclass(frozen=True)
@@ -936,16 +922,15 @@ class Normal:
 
 
 def _piece_rank(piece: Piece) -> tuple:
-    rank = piece.core.rank
-    if isinstance(piece.core, Interval):
-        key = piece.core.lo if piece.core.lo is not None else Q(-10**18)
-    elif isinstance(piece.core, FinitePoints):
-        key = piece.core.points[0]
-    elif isinstance(piece.core, RationalsIn):
-        key = piece.core.iv.lo if piece.core.iv.lo is not None else Q(-10**18)
+    core = piece.core
+    if isinstance(core, (Interval, RationalsIn)):
+        lo = core.box().lo
+        key = lo if lo is not None else Q(-10**18)
+    elif isinstance(core, FinitePoints):
+        key = core.points[0]
     else:
         key = Q(0)
-    return (rank, key, repr(piece))
+    return (core.rank, key, repr(piece))
 
 
 # --- piece-level intersections -----------------------------------------------
@@ -977,128 +962,68 @@ def _core_intersect(a: SetExpr, b: SetExpr) -> list[Piece]:
     """Pieces of a ∩ b for core atoms a, b."""
     if isinstance(a, EmptySet) or isinstance(b, EmptySet):
         return []
+    if a == b:
+        return [Piece(a, ())]
+    if isinstance(b, FinitePoints):
+        a, b = b, a
+    if isinstance(a, FinitePoints):
+        kept = tuple(p for p in a.points if b.contains(p))
+        return [Piece(FinitePoints(kept), ())] if kept else []
     if a.rank > b.rank:
-        return _core_intersect(b, a)
+        a, b = b, a
     ta, tb = type(a), type(b)
 
+    if tb is Interval or tb is RationalsIn:
+        r = iv_intersect(a.box(), b.box())
+        if tb is RationalsIn and isinstance(r, Interval):
+            r = RationalsIn(r)
+        return [] if isinstance(r, EmptySet) else [Piece(r, ())]
     if ta is Interval:
-        if tb is Interval:
-            r = iv_intersect(a, b)
-            return [] if isinstance(r, EmptySet) else [Piece(r, ())]
-        if tb is FinitePoints:
-            kept = tuple(p for p in b.points if a.contains(p))
-            return [Piece(FinitePoints(kept), ())] if kept else []
-        if tb is RationalsIn:
-            r = iv_intersect(a, b.iv)
-            if isinstance(r, EmptySet):
-                return []
-            if isinstance(r, FinitePoints):
-                return [Piece(r, ())]
-            return [Piece(RationalsIn(r), ())]
         if tb is CantorAffine:
             r = _clip_cantor(b, a)
             return [] if isinstance(r, EmptySet) else [Piece(r, ())]
         if tb is Sequence:
             return _seq_clip(b, a)
-        if tb is IntervalFamily:
-            return _family_clip(b, a)
-    if ta is FinitePoints:
-        if tb is FinitePoints:
-            kept = tuple(sorted(set(a.points) & set(b.points)))
-            return [Piece(FinitePoints(kept), ())] if kept else []
-        kept = tuple(p for p in a.points if _atom_contains(b, p))
-        return [Piece(FinitePoints(kept), ())] if kept else []
+        return _family_clip(b, a)
     if ta is RationalsIn:
-        if tb is RationalsIn:
-            r = iv_intersect(a.iv, b.iv)
-            if isinstance(r, EmptySet):
-                return []
-            if isinstance(r, FinitePoints):
-                return [Piece(r, ())]
-            return [Piece(RationalsIn(r), ())]
         if tb is CantorAffine:
             raise UnsupportedIntersection("rationals ∩ Cantor image is outside the algebra")
         if tb is Sequence:
             return _seq_clip(b, a.iv)  # sequence values are rational
-        if tb is IntervalFamily:
-            parts = _family_clip(b, a.iv)
-            if any(isinstance(p.core, IntervalFamily) for p in parts):
-                raise UnsupportedIntersection("rationals ∩ family tail is outside the algebra")
-            out = []
-            for p in parts:
-                if isinstance(p.core, Interval):
-                    out.append(Piece(RationalsIn(p.core), p.removals))
-                elif isinstance(p.core, FinitePoints):
-                    out.append(p)
-            return out
+        return _finite_meet(b, a, "rationals ∩ family tail is outside the algebra")
     if ta is CantorAffine:
         if tb is CantorAffine:
-            if a == b:
-                return [Piece(a, ())]
             if (a.offset, a.scale) == (b.offset, b.scale):
-                box_a = a.clip if a.clip is not None else a.span()
-                box_b = b.clip if b.clip is not None else b.span()
-                both = iv_intersect(box_a, box_b)
-                if isinstance(both, EmptySet):
-                    return []
-                if isinstance(both, FinitePoints):
-                    kept = tuple(p for p in both.points if a.contains(p))
-                    return [Piece(FinitePoints(kept), ())] if kept else []
-                r = _clip_cantor(CantorAffine(a.offset, a.scale), both)
-                return [] if isinstance(r, EmptySet) else [Piece(r, ())]
+                return _core_intersect(a, b.box())
             raise UnsupportedIntersection("two distinct Cantor images cannot be intersected")
         if tb is Sequence:
             raise UnsupportedIntersection("Cantor image ∩ sequence is outside the algebra")
-        if tb is IntervalFamily:
-            parts = _family_clip(b, a.clip if a.clip is not None else a.span())
-            if any(isinstance(p.core, IntervalFamily) for p in parts):
-                raise UnsupportedIntersection("Cantor image ∩ family tail is outside the algebra")
-            out = []
-            for p in parts:
-                if isinstance(p.core, Interval):
-                    r = _clip_cantor(a, p.core)
-                    if not isinstance(r, EmptySet):
-                        out.append(Piece(r, p.removals))
-                elif isinstance(p.core, FinitePoints):
-                    kept = tuple(q for q in p.core.points if a.contains(q))
-                    if kept:
-                        out.append(Piece(FinitePoints(kept), p.removals))
-            return out
+        return _finite_meet(b, a, "Cantor image ∩ family tail is outside the algebra")
     if ta is Sequence:
         if tb is Sequence:
-            if a == b:
-                return [Piece(a, ())]
             if a.term == b.term:
                 return [Piece(Sequence(a.term, max(a.start, b.start)), ())]
             vals = _seq_shared_values(a, b)
             return [Piece(FinitePoints(vals), ())] if vals else []
-        if tb is IntervalFamily:
-            info = family_tail_info(b)
-            if a.term.limit == info.limit:
-                raise UnsupportedIntersection("sequence and family share an accumulation point")
-            kept = _seq_finite_values_in(a, family_hull(b))
-            vals = tuple(sorted(v for v in kept if b.contains(v)))
-            return [Piece(FinitePoints(vals), ())] if vals else []
-    if ta is IntervalFamily:
-        if a == b:
-            return [Piece(a, ())]
-        ia, ib = family_tail_info(a), family_tail_info(b)
-        if ia.limit == ib.limit and ia.side == ib.side:
-            raise UnsupportedIntersection("two family tails share an accumulation side")
-        parts = _family_clip(a, family_hull(b))
-        if any(isinstance(p.core, IntervalFamily) for p in parts):
-            raise UnsupportedIntersection("family tails interleave; not reducible")
-        out = []
-        for p in parts:
-            if isinstance(p.core, (Interval, FinitePoints)):
-                out.extend(_attach_removals(_core_intersect(p.core, b), p.removals))
-        return out
-    raise AssertionError(f"unhandled intersection {ta} ∩ {tb}")
+        if a.limit == family_tail_info(b).limit:
+            raise UnsupportedIntersection("sequence and family share an accumulation point")
+        return _finite_meet(a, b, "sequence tail does not reduce to finitely many values here")
+    ia, ib = family_tail_info(a), family_tail_info(b)
+    if ia.limit == ib.limit and ia.side == ib.side:
+        raise UnsupportedIntersection("two family tails share an accumulation side")
+    return _finite_meet(a, b, "family tails interleave; not reducible")
 
 
-def _seq_hull(seq: Sequence) -> Interval:
-    first = seq.term.eval(seq.start)
-    return Interval(min(seq.limit, first), max(seq.limit, first), True, True)
+def _finite_meet(tail: SetExpr, other: SetExpr, refusal: str) -> list[Piece]:
+    """Pieces of tail ∩ other for a sequence or family tail of which only
+    finitely many members lie in other's box; refuses with the given message
+    when a tail survives the clip."""
+    out = []
+    for p in _core_intersect(tail, other.box()):
+        if type(p.core) is type(tail):
+            raise UnsupportedIntersection(refusal)
+        out.extend(_core_intersect(p.core, other))
+    return out
 
 
 def _seq_shared_values(a: Sequence, b: Sequence) -> tuple[Q, ...]:
@@ -1130,17 +1055,6 @@ def _seq_shared_values(a: Sequence, b: Sequence) -> tuple[Q, ...]:
     return tuple(sorted(shared))
 
 
-def _seq_finite_values_in(seq: Sequence, box: Interval) -> list[Q]:
-    parts = _seq_clip(seq, box)
-    vals: list[Q] = []
-    for p in parts:
-        if isinstance(p.core, FinitePoints):
-            vals.extend(p.core.points)
-        elif isinstance(p.core, Sequence):
-            raise UnsupportedIntersection("sequence tail does not reduce to finitely many values here")
-    return vals
-
-
 def _attach_removals(pieces: list[Piece], removals: tuple) -> list[Piece]:
     if not removals:
         return pieces
@@ -1158,9 +1072,6 @@ def _merge_removals(a: tuple, b: tuple) -> tuple:
 # --- piece-level differences --------------------------------------------------
 
 
-_REMOVAL_OK_CORES = (Interval, RationalsIn, IntervalFamily)
-
-
 def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
     """Pieces of a \\ b for core atoms."""
     if isinstance(a, EmptySet):
@@ -1171,6 +1082,9 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
         return []
     ta, tb = type(a), type(b)
 
+    if ta is FinitePoints:
+        kept = tuple(p for p in a.points if not b.contains(p))
+        return [Piece(FinitePoints(kept), ())] if kept else []
     if tb is Interval:
         out = []
         for comp in iv_complement(b):
@@ -1179,67 +1093,16 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
     if tb is FinitePoints:
         return _subtract_points(a, b.points)
     if tb is RationalsIn:
-        if ta is Interval:
-            clip = iv_intersect(b.iv, a)
-            if isinstance(clip, EmptySet):
-                return [Piece(a, ())]
-            if isinstance(clip, FinitePoints):
-                return _subtract_points(a, clip.points)
-            return [Piece(a, (RationalsIn(clip),))]
-        if ta is FinitePoints:
-            kept = tuple(p for p in a.points if not b.iv.contains(p))
-            return [Piece(FinitePoints(kept), ())] if kept else []
-        if ta is RationalsIn:
-            out = []
-            for piece in iv_subtract(a.iv, b.iv):
-                if isinstance(piece, Interval):
-                    out.append(Piece(RationalsIn(piece), ()))
-                elif isinstance(piece, FinitePoints):
-                    out.append(Piece(piece, ()))
-            return out
         if ta is CantorAffine:
             raise UnsupportedIntersection("Cantor image minus rationals is outside the algebra")
-        if ta is Sequence:
-            # sequence values are rational: subtracting rationals-in-J is
-            # the same as subtracting the interval J
-            out = []
-            for comp in iv_complement(b.iv):
-                out.extend(_seq_clip(a, comp))
-            return out
-        if ta is IntervalFamily:
-            clip = iv_intersect(b.iv, family_hull(a))
-            if isinstance(clip, EmptySet):
-                return [Piece(a, ())]
-            if isinstance(clip, FinitePoints):
-                return _subtract_points(a, clip.points)
-            return [Piece(a, (RationalsIn(clip),))]
+        if ta is Interval or ta is IntervalFamily:
+            return _cut_thin(a, b)
+        return _core_subtract(a, b.iv)  # every member of a is rational
     if tb is CantorAffine:
         if ta is CantorAffine and (a.offset, a.scale) == (b.offset, b.scale):
-            box_a = a.clip if a.clip is not None else a.span()
-            box_b = b.clip if b.clip is not None else b.span()
-            out = []
-            for piece in iv_subtract(box_a, box_b):
-                if isinstance(piece, Interval):
-                    r = _clip_cantor(CantorAffine(a.offset, a.scale), piece)
-                elif isinstance(piece, FinitePoints):
-                    kept = tuple(p for p in piece.points if a.contains(p))
-                    r = FinitePoints(kept) if kept else EMPTY
-                else:
-                    r = EMPTY
-                if not isinstance(r, EmptySet):
-                    out.append(Piece(r, ()))
-            return out
-        if ta is FinitePoints:
-            kept = tuple(p for p in a.points if not b.contains(p))
-            return [Piece(FinitePoints(kept), ())] if kept else []
+            return _core_subtract(a, b.box())
         if ta in (Interval, RationalsIn, IntervalFamily):
-            box = a if ta is Interval else (a.iv if ta is RationalsIn else family_hull(a))
-            clipped = _clip_cantor(b, box) if isinstance(box, Interval) else b
-            if isinstance(clipped, EmptySet):
-                return [Piece(a, ())]
-            if isinstance(clipped, FinitePoints):
-                return _subtract_points(a, clipped.points)
-            return [Piece(a, (clipped,))]
+            return _cut_thin(a, b)
         raise UnsupportedIntersection("difference with a Cantor image is outside the algebra")
     if tb is Sequence:
         if ta is Sequence:
@@ -1253,9 +1116,6 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
                 return [Piece(FinitePoints(head), ())] if head else []
             shared = _seq_shared_values(a, b)
             return _subtract_points(a, shared) if shared else [Piece(a, ())]
-        if ta is FinitePoints:
-            kept = tuple(p for p in a.points if not b.contains(p))
-            return [Piece(FinitePoints(kept), ())] if kept else []
         if ta in (Interval, RationalsIn, IntervalFamily):
             return [Piece(a, (b,))]
         raise UnsupportedIntersection("difference with a sequence is outside the algebra")
@@ -1263,81 +1123,42 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
         raw, tail, _ = _family_resolution(b)
         pieces = [Piece(a, ())]
         for core, removals in raw:
-            # subtracting (core minus removals): over-removing the removal
-            # part is compensated by re-adding a ∩ core ∩ removals
-            nxt = []
-            for p in pieces:
-                nxt.extend(_piece_subtract_atom(p, core))
-                for r in removals:
-                    inter1 = _attach_removals(_core_intersect(p.core, core), p.removals)
-                    for q in inter1:
-                        nxt.extend(
-                            _attach_removals(_core_intersect(q.core, r), q.removals)
-                        )
-            pieces = nxt
+            pieces = [q for p in pieces for q in _piece_subtract(p, Piece(core, removals))]
         if tail is not None:
-            out = []
-            for p in pieces:
-                out.extend(_piece_subtract_family_tail(p, tail))
-            pieces = out
+            pieces = [q for p in pieces for q in _piece_subtract_family_tail(p, tail)]
         return pieces
     raise AssertionError(f"unhandled difference {ta} \\ {tb}")
 
 
+def _cut_thin(a: SetExpr, b: SetExpr) -> list[Piece]:
+    """a minus a thin atom b (rationals or a Cantor image): b clipped to a's
+    box splits a when only points of it are left, and is a removal otherwise."""
+    parts = _core_intersect(b, a.box())  # at most one piece
+    if not parts:
+        return [Piece(a, ())]
+    clipped = parts[0].core
+    if isinstance(clipped, FinitePoints):
+        return _subtract_points(a, clipped.points)
+    return [Piece(a, (clipped,))]
+
+
 def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
-    relevant = [p for p in pts if _atom_contains(a, p)]
+    relevant = [p for p in pts if a.contains(p)]
     if not relevant:
         return [Piece(a, ())]
     ta = type(a)
-    if ta is FinitePoints:
-        kept = tuple(p for p in a.points if p not in relevant)
-        return [Piece(FinitePoints(kept), ())] if kept else []
-    if ta is Interval or ta is RationalsIn:
-        base = a if ta is Interval else a.iv
-        segments = [base]
-        for p in sorted(relevant):
-            nxt = []
-            for seg in segments:
-                if seg.contains(p):
-                    left = iv_intersect(seg, Interval(None, p, False, False))
-                    right = iv_intersect(seg, Interval(p, None, False, False))
-                    for s in (left, right):
-                        if isinstance(s, Interval):
-                            nxt.append(s)
-                        elif isinstance(s, FinitePoints):
-                            nxt.append(s)
-                else:
-                    nxt.append(seg)
-            segments = nxt
-        out = []
-        for seg in segments:
-            if isinstance(seg, FinitePoints):
-                out.append(Piece(seg, ()))
-            elif ta is Interval:
-                out.append(Piece(seg, ()))
-            else:
-                out.append(Piece(RationalsIn(seg), ()))
-        return out
-    if ta is CantorAffine:
+    if ta in (Interval, FinitePoints, RationalsIn, CantorAffine):
+        # each point splits every piece holding it along the two open
+        # half-lines at the point
         pieces = [a]
         for p in sorted(relevant):
             nxt = []
             for c in pieces:
-                if not isinstance(c, CantorAffine) or not c.contains(p):
+                if not c.contains(p):
                     nxt.append(c)
                     continue
-                box = c.clip if c.clip is not None else c.span()
-                left = iv_intersect(box, Interval(None, p, False, False))
-                right = iv_intersect(box, Interval(p, None, False, False))
-                for s in (left, right):
-                    if isinstance(s, Interval):
-                        piece = _clip_cantor(CantorAffine(c.offset, c.scale), s)
-                        if not isinstance(piece, EmptySet):
-                            nxt.append(piece)
-                    elif isinstance(s, FinitePoints):
-                        kept = tuple(q for q in s.points if c.contains(q))
-                        if kept:
-                            nxt.append(FinitePoints(kept))
+                for half in (Interval(None, p, False, False), Interval(p, None, False, False)):
+                    nxt.extend(q.core for q in _core_intersect(c, half))
             pieces = nxt
         return [Piece(c, ()) for c in pieces]
     if ta is Sequence:
@@ -1364,7 +1185,7 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
         for p in sorted(relevant):
             nxt: list[Piece] = []
             for q in pieces:
-                if not _atom_contains(q.core, p):
+                if not q.core.contains(p):
                     nxt.append(q)
                 elif isinstance(q.core, IntervalFamily):
                     # materialize the members up to the one holding p
@@ -1382,31 +1203,25 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
 
 def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
     core = p.core
-    hull = family_hull(tail)
+    hull = tail.box()
     if isinstance(core, FinitePoints):
-        kept = tuple(q for q in core.points if not _atom_contains(tail, q))
-        return _attach_removals([Piece(FinitePoints(kept), ())] if kept else [], p.removals)
+        return _piece_subtract_atom(p, tail)
     if isinstance(core, (Interval, RationalsIn)):
-        box = core if isinstance(core, Interval) else core.iv
-        if _iv_disjoint(box, hull):
+        if _iv_disjoint(core.box(), hull):
             return [p]
         # clip the tail into the region: explicit members subtract exactly,
         # a surviving symbolic tail becomes a removal attached to the core
-        parts = _family_clip(tail, box)
-        pieces = [Piece(core, p.removals)]
-        for part in parts:
+        pieces = [p]
+        for part in _family_clip(tail, core.box()):
             if isinstance(part.core, IntervalFamily):
                 pieces = [
                     Piece(q.core, _merge_removals(q.removals, (part.core,))) for q in pieces
                 ]
-            elif isinstance(part.core, (Interval, FinitePoints)):
-                nxt = []
-                for q in pieces:
-                    nxt.extend(_piece_subtract_atom(q, part.core))
-                pieces = nxt
+            else:
+                pieces = [w for q in pieces for w in _piece_subtract_atom(q, part.core)]
         return pieces
     if isinstance(core, Sequence):
-        if _iv_disjoint(_seq_hull(core), hull):
+        if _iv_disjoint(core.box(), hull):
             return [p]
         raise UnsupportedIntersection("sequence minus an overlapping family tail")
     if isinstance(core, (CantorAffine, IntervalFamily)):
@@ -1421,7 +1236,7 @@ def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
             )
             if same_shape:
                 return [Piece(m, p.removals) for m in _family_head(core, tail.start)]
-            if _iv_disjoint(family_hull(core), hull):
+            if _iv_disjoint(core.box(), hull):
                 return [p]
         raise UnsupportedIntersection("thin atom minus family tail is outside the algebra")
     raise AssertionError
@@ -1458,6 +1273,9 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
     cantors: list[Piece] = []
     seqs: list[Piece] = []
     fams: list[Piece] = []
+
+    def add_points(xs, removals):
+        pts.update(x for x in xs if not any(r.contains(x) for r in removals))
 
     work = list(pieces)
     while work:
@@ -1497,11 +1315,11 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
                 else:
                     q_plain.append(core.iv)
         elif isinstance(core, FinitePoints):
-            for x in core.points:
-                if all(not _atom_contains(r, x) for r in p.removals):
-                    pts.add(x)
+            add_points(core.points, p.removals)
         elif isinstance(core, CantorAffine):
-            cantors.append(Piece(core, ()))  # removals on Cantor cores never arise
+            # Removals of thin cores are dropped here and below: a known
+            # defect, pinned by strict xfails in tests/test_sets.py.
+            cantors.append(Piece(core, ()))
         elif isinstance(core, Sequence):
             seqs.append(Piece(core, ()))
         elif isinstance(core, IntervalFamily):
@@ -1518,7 +1336,7 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
         keep = fp.core
         info = family_tail_info(keep)
         for s in solids:
-            if _iv_disjoint(s, family_hull(keep)):
+            if _iv_disjoint(s, keep.box()):
                 continue
             near, far = _dist_edges(s, info.limit, info.side)
             if _holds_limit_side(near, far):
@@ -1560,25 +1378,14 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
     # removal-carrying intervals: shave off solidly covered parts
     shaved: list[Piece] = []
     for rp in removal_ivs:
-        segs = [rp]
-        for s in solids:
-            nxt = []
-            for q in segs:
-                for piece in iv_subtract(q.core, s):
-                    if isinstance(piece, Interval):
-                        for red in _reduce_removal_piece(piece, q.removals):
-                            if isinstance(red.core, Interval):
-                                nxt.append(red)
-                            elif isinstance(red.core, FinitePoints):
-                                for x in red.core.points:
-                                    if all(not _atom_contains(r, x) for r in red.removals):
-                                        pts.add(x)
-                    elif isinstance(piece, FinitePoints):
-                        for x in piece.points:
-                            if all(not _atom_contains(r, x) for r in q.removals):
-                                pts.add(x)
-            segs = nxt
-        shaved.extend(segs)
+        segs, ends = _uncovered(rp.core, solids)
+        add_points(ends, rp.removals)
+        for seg in segs:
+            for red in _reduce_removal_piece(seg, rp.removals):
+                if isinstance(red.core, Interval):
+                    shaved.append(red)
+                else:
+                    add_points(red.core.points, red.removals)
     plain_from_shaved = [p.core for p in shaved if not p.removals]
     shaved = [p for p in shaved if p.removals]
     if plain_from_shaved:
@@ -1600,81 +1407,41 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
 
     # family tails overlapping co-thin regions are not supported
     for fp in out_fams:
-        hull = family_hull(fp.core)
         for rp in merged_shaved:
-            if not _iv_disjoint(hull, rp.core):
+            if not _iv_disjoint(fp.core.box(), rp.core):
                 raise UnsupportedIntersection("family tail overlaps a co-thin region")
 
     # rationals: merge, then subtract solid cover
-    q_merged = merge_intervals(q_plain)
     q_out: list[Piece] = []
-    for qiv in q_merged:
-        segs = [qiv]
-        for s in solids:
-            nxt = []
-            for seg in segs:
-                for piece in iv_subtract(seg, s):
-                    if isinstance(piece, Interval):
-                        nxt.append(piece)
-                    elif isinstance(piece, FinitePoints):
-                        pts.update(piece.points)
-            segs = nxt
-        q_out.extend(Piece(RationalsIn(s), ()) for s in segs)
+    for qiv in merge_intervals(q_plain):
+        segs, ends = _uncovered(qiv, solids)
+        pts.update(ends)
+        q_out.extend(Piece(RationalsIn(seg), ()) for seg in segs)
     for qp in q_removal:
-        segs = [qp.core.iv]
-        for s in solids:
-            nxt = []
-            for seg in segs:
-                for piece in iv_subtract(seg, s):
-                    if isinstance(piece, Interval):
-                        nxt.append(piece)
-                    elif isinstance(piece, FinitePoints):
-                        for x in piece.points:
-                            if all(not _atom_contains(r, x) for r in qp.removals):
-                                pts.add(x)
-            segs = nxt
-        for seg in segs:
-            cleaned = _clean_removals(seg, qp.removals)
-            if cleaned:
-                q_out.append(Piece(RationalsIn(seg), cleaned))
-            else:
-                q_out.append(Piece(RationalsIn(seg), ()))
+        segs, ends = _uncovered(qp.core.iv, solids)
+        add_points(ends, qp.removals)
+        q_out.extend(Piece(RationalsIn(seg), _clean_removals(seg, qp.removals)) for seg in segs)
 
     # sequences: drop members covered by solids or rational pieces
     seq_out: list[Piece] = []
-    seq_pts: list[Q] = []
     for sp in seqs:
         parts = [sp]
-        for s in solids + [q.core.iv for q in q_out if isinstance(q.core, RationalsIn) and not q.removals]:
-            nxt = []
-            for q in parts:
-                if isinstance(q.core, Sequence):
-                    for w in _core_subtract(q.core, s):
-                        nxt.append(w)
-                elif isinstance(q.core, FinitePoints):
-                    kept = tuple(x for x in q.core.points if not s.contains(x))
-                    if kept:
-                        nxt.append(Piece(FinitePoints(kept), ()))
-            parts = nxt
+        for s in solids + [q.core.iv for q in q_out if not q.removals]:
+            parts = [w for q in parts for w in _core_subtract(q.core, s)]
         for q in parts:
             if isinstance(q.core, Sequence):
                 seq_out.append(q)
-            elif isinstance(q.core, FinitePoints):
-                seq_pts.extend(q.core.points)
-    pts.update(seq_pts)
+            else:
+                pts.update(q.core.points)
 
     # cantor pieces: drop those fully under the solid cover, dedupe
     cantor_out: list[Piece] = []
-    seen_cantor = set()
     for cp in cantors:
-        box = cp.core.clip if cp.core.clip is not None else cp.core.span()
-        if any(_iv_covers(s, box) for s in solids):
-            continue
-        if cp.core not in seen_cantor:
-            seen_cantor.add(cp.core)
+        if not any(_iv_covers(s, cp.core.box()) for s in solids) and cp not in cantor_out:
             cantor_out.append(cp)
 
-    # points: drop covered ones, then extend adjacent solids
+    # points: drop covered ones, then close the open ends they touch
+    # ([a,b) + {b} -> [a,b]) of solids and of plain rational pieces
     other_pieces = (
         [Piece(s, ()) for s in solids]
         + merged_shaved
@@ -1683,45 +1450,18 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
         + seq_out
         + out_fams
     )
-    final_pts = []
-    for x in sorted(pts):
-        if any(piece_contains(p, x) for p in other_pieces):
-            continue
-        final_pts.append(x)
-    # extend solids by touching points ([a,b) + {b} -> [a,b])
-    changed = True
-    while changed:
-        changed = False
-        for i, s in enumerate(solids):
-            for x in list(final_pts):
-                if s.lo == x and not s.lo_incl:
-                    solids[i] = Interval(s.lo, s.hi, True, s.hi_incl)
-                    final_pts.remove(x)
-                    changed = True
-                elif s.hi == x and not s.hi_incl:
-                    solids[i] = Interval(s.lo, s.hi, s.lo_incl, True)
-                    final_pts.remove(x)
-                    changed = True
-        if changed:
-            solids = merge_intervals(solids)
-    # extend rational pieces by touching rational points
-    for i, qp in enumerate(q_out):
-        if qp.removals:
-            continue
-        iv = qp.core.iv
-        for x in list(final_pts):
-            if iv.lo == x and not iv.lo_incl:
-                iv = Interval(iv.lo, iv.hi, True, iv.hi_incl)
-                final_pts.remove(x)
-            elif iv.hi == x and not iv.hi_incl:
-                iv = Interval(iv.lo, iv.hi, iv.lo_incl, True)
-                final_pts.remove(x)
-        q_out[i] = Piece(RationalsIn(iv), ())
+    final_pts = {x for x in pts if not any(piece_contains(p, x) for p in other_pieces)}
+    if final_pts:
+        solids = merge_intervals([_absorb_ends(s, final_pts) for s in solids])
+        q_out = [
+            qp if qp.removals else Piece(RationalsIn(_absorb_ends(qp.core.iv, final_pts)), ())
+            for qp in q_out
+        ]
 
     result: list[Piece] = [Piece(s, ()) for s in solids]
     result.extend(merged_shaved)
     if final_pts:
-        result.append(Piece(FinitePoints(tuple(final_pts)), ()))
+        result.append(Piece(FinitePoints(tuple(sorted(final_pts))), ()))
     result.extend(q_out)
     result.extend(cantor_out)
     result.extend(seq_out)
@@ -1729,12 +1469,33 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
     return Normal(tuple(sorted(result, key=_piece_rank)))
 
 
+def _uncovered(iv: Interval, solids: list[Interval]) -> tuple[list[Interval], list[Q]]:
+    """iv minus the union of the solids: its intervals and its single points."""
+    segs, ends = [iv], []
+    for s in solids:
+        nxt = []
+        for seg in segs:
+            for piece in iv_subtract(seg, s):
+                if isinstance(piece, Interval):
+                    nxt.append(piece)
+                else:
+                    ends.extend(piece.points)
+        segs = nxt
+    return segs, ends
+
+
+def _absorb_ends(iv: Interval, pts: set) -> Interval:
+    """iv with each open end that is one of pts closed; those points leave pts."""
+    lo_incl, hi_incl = iv.lo_incl or iv.lo in pts, iv.hi_incl or iv.hi in pts
+    pts.difference_update((iv.lo, iv.hi))
+    return Interval(iv.lo, iv.hi, lo_incl, hi_incl)
+
+
 def _reduce_removal_piece(core: SetExpr, removals: tuple) -> list[Piece]:
     """Clip removals to the core's span; point-like pieces of a removal
     split the core, interval-like pieces (materialized family members)
     subtract exactly."""
-    box = core if isinstance(core, Interval) else core.iv
-    cleaned = _clean_removals(box, removals)
+    cleaned = _clean_removals(core.box(), removals)
     pts = tuple(sorted({p for r in cleaned if isinstance(r, FinitePoints) for p in r.points}))
     solids = [r for r in cleaned if isinstance(r, Interval)]
     thin = tuple(r for r in cleaned if not isinstance(r, (FinitePoints, Interval)))
@@ -1748,32 +1509,15 @@ def _reduce_removal_piece(core: SetExpr, removals: tuple) -> list[Piece]:
 
 
 def _clean_removals(box: Interval, removals: tuple) -> tuple:
-    """Clip removal atoms to the box; drop the irrelevant ones."""
+    """Clip removal atoms to the box; drop the irrelevant ones.  A family
+    tail's clip keeps the tail thin and turns its members solid."""
     out = []
     for r in removals:
-        if isinstance(r, RationalsIn):
-            clip = iv_intersect(r.iv, box)
-            if isinstance(clip, Interval):
-                out.append(RationalsIn(clip))
-            elif isinstance(clip, FinitePoints):
-                out.append(FinitePoints(clip.points))
-        elif isinstance(r, CantorAffine):
-            clipped = _clip_cantor(r, box)
-            if isinstance(clipped, (CantorAffine, FinitePoints)):
-                out.append(clipped)
-        elif isinstance(r, Sequence):
-            if not _iv_disjoint(_seq_hull(r), box):
+        if isinstance(r, Sequence):
+            if not _iv_disjoint(r.box(), box):
                 out.append(r)
-        elif isinstance(r, IntervalFamily):
-            if not _iv_disjoint(family_hull(r), box):
-                for part in _family_clip(r, box):
-                    out.append(part.core)  # tails stay thin, members turn solid
-        elif isinstance(r, FinitePoints):
-            kept = tuple(p for p in r.points if box.contains(p))
-            if kept:
-                out.append(FinitePoints(kept))
         else:
-            raise AssertionError(f"unexpected removal atom {r!r}")
+            out.extend(part.core for part in _core_intersect(r, box))
     return tuple(sorted(set(out), key=repr))
 
 

@@ -236,20 +236,20 @@ def test_density_rule_table_power_widths():
     assert v.kind == "positive" and v.lower_bound > 0
 
 
-def test_refinement_cap_env_override(monkeypatch):
-    # power-law widths only ever get certified bounds; fewer refinement
-    # rounds must widen (or keep) the bound gap
+def test_refinement_bracket_holds_the_measure():
+    # power-law widths only ever get certified bounds; the disjoint members
+    # [1/n - 1/(4n^3), 1/n) have total length zeta(3)/4, and every bracket
+    # must hold it, the finer target's no wider than the coarser one's
     hi = Term.power(1, 1)
     fam = family(hi - Term.make(pw=[(3, 0, Q(1, 4))]), hi)
-    monkeypatch.setenv("LIMITLAB_MAX_REFINE", "1")
-    coarse = measure(fam, target_gap=Q(1, 2**60))
-    monkeypatch.setenv("LIMITLAB_MAX_REFINE", "24")
+    zeta3 = Q("1.202056903159594285399738161511449990764986292")  # rounded down
+    coarse = measure(fam, target_gap=Q(1, 2**10))
     fine = measure(fam, target_gap=Q(1, 2**60))
+    for m in (coarse, fine):
+        assert m.bound_gap > 0
+        assert m.value - m.bound_gap <= zeta3 / 4
+        assert zeta3 / 4 + Q(1, 10**45) <= m.value + m.bound_gap
     assert fine.bound_gap <= coarse.bound_gap
-    assert coarse.bound_gap > 0
-    lo_v = fine.value - fine.bound_gap
-    hi_v = coarse.value + coarse.bound_gap
-    assert lo_v <= hi_v  # both brackets contain the true measure
 
 
 def test_density_rule_table_geometric_positions():

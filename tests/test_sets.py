@@ -17,6 +17,7 @@ from limitlab.sets import (
     RationalsIn,
     Sequence,
     Union,
+    _tree_contains,
     cantor_affine,
     cantor_meets_interval,
     contains,
@@ -70,6 +71,8 @@ def test_normalize_idempotent_random():
 
 
 def test_contains_agrees_with_normalize():
+    # the reference is node-by-node membership on the tree, which never
+    # builds a normal form
     rng = random.Random(13)
     pts = sample_rats(rng, 60)
     checked = 0
@@ -81,7 +84,9 @@ def test_contains_agrees_with_normalize():
             continue
         checked += 1
         for x in pts:
-            assert contains(expr, x) == contains(norm, x), (expr, x)
+            expected = _tree_contains(expr, x)
+            assert contains(expr, x) == expected, (expr, x)
+            assert contains(norm, x) == expected, (expr, x)
     assert checked >= 60
 
 
@@ -243,6 +248,23 @@ def test_family_tail_beside_unbounded_solid_touching_its_limit(tail, solid):
     probes += [s * x for s in (1, -1) for n in range(1, 40) for x in (Q(1, n), Q(1, n) - Q(1, 2**n), Q(1, n) - Q(1, 2 ** (n + 1)))]
     for x in probes:
         assert contains(e, x) == (contains(fam, x) or contains(box, x)), x
+
+
+# --- points on the ends of solids and of clipped Cantor pieces ----------------------
+
+
+def test_points_close_both_open_ends_of_an_interval():
+    e = parse_set("(0, 1) | points(0, 1)")
+    assert normalize(e) == interval(0, 1)
+    assert contains(e, 0) and contains(e, 1) and contains(e, Q(1, 2))
+
+
+def test_point_removal_reaches_pieces_left_by_an_earlier_split():
+    # removing 1/3 splits off {2/3}, which the removal of 2/3 must then empty
+    e = parse_set("(cantor(0, 1) & [0, 2/3]) \\ points(1/3, 2/3)")
+    assert normalize(e) == normalize(parse_set("cantor(0, 1) & [0, 1/3)"))
+    assert not contains(e, Q(2, 3)) and not contains(e, Q(1, 3))
+    assert contains(e, 0) and contains(e, Q(2, 9))
 
 
 # --- known defect: the canonical union drops removals of thin cores ----------------
