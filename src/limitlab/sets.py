@@ -249,8 +249,10 @@ class Difference(SetExpr):
 
 
 def interval(lo, hi, lo_incl=True, hi_incl=True) -> SetExpr:
-    lo = None if lo is None else Q(lo)
-    hi = None if hi is None else Q(hi)
+    if lo is not None and not isinstance(lo, Q):
+        lo = Q(lo)
+    if hi is not None and not isinstance(hi, Q):
+        hi = Q(hi)
     if lo is None:
         lo_incl = False
     if hi is None:
@@ -1094,6 +1096,8 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
         return _subtract_points(a, b.points)
     if tb is RationalsIn:
         if ta is CantorAffine:
+            if _iv_disjoint(a.box(), b.box()):
+                return [Piece(a, ())]
             raise UnsupportedIntersection("Cantor image minus rationals is outside the algebra")
         if ta is Interval or ta is IntervalFamily:
             return _cut_thin(a, b)
@@ -1118,6 +1122,8 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
             return _subtract_points(a, shared) if shared else [Piece(a, ())]
         if ta in (Interval, RationalsIn, IntervalFamily):
             return [Piece(a, (b,))]
+        if _iv_disjoint(a.box(), b.box()):
+            return [Piece(a, ())]
         raise UnsupportedIntersection("difference with a sequence is outside the algebra")
     if tb is IntervalFamily:
         raw, tail, _ = _family_resolution(b)
@@ -1236,8 +1242,8 @@ def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
             )
             if same_shape:
                 return [Piece(m, p.removals) for m in _family_head(core, tail.start)]
-            if _iv_disjoint(core.box(), hull):
-                return [p]
+        if _iv_disjoint(core.box(), hull):
+            return [p]
         raise UnsupportedIntersection("thin atom minus family tail is outside the algebra")
     raise AssertionError
 
@@ -1493,12 +1499,13 @@ def _absorb_ends(iv: Interval, pts: set) -> Interval:
 
 def _reduce_removal_piece(core: SetExpr, removals: tuple) -> list[Piece]:
     """Clip removals to the core's span; point-like pieces of a removal
-    split the core, interval-like pieces (materialized family members)
-    subtract exactly."""
+    split the core, interval-like pieces (materialized family members) and
+    rationals removed from rationals subtract exactly."""
     cleaned = _clean_removals(core.box(), removals)
     pts = tuple(sorted({p for r in cleaned if isinstance(r, FinitePoints) for p in r.points}))
-    solids = [r for r in cleaned if isinstance(r, Interval)]
-    thin = tuple(r for r in cleaned if not isinstance(r, (FinitePoints, Interval)))
+    exact = (Interval, RationalsIn) if isinstance(core, RationalsIn) else (Interval,)
+    solids = [r for r in cleaned if isinstance(r, exact)]
+    thin = tuple(r for r in cleaned if not isinstance(r, (FinitePoints, *exact)))
     pieces = _subtract_points(core, pts) if pts else [Piece(core, ())]
     for s in solids:
         nxt: list[Piece] = []
@@ -1524,11 +1531,32 @@ def _clean_removals(box: Interval, removals: tuple) -> tuple:
 # --- normalization entry points -----------------------------------------------
 
 
+# The message of each refusal _normal has raised, by expression, so that a
+# refused tree is not normalized again.  The message is kept rather than the
+# exception, which would gather traceback frames on every re-raise.
+_refusals: dict[SetExpr, str] = {}
+
+
 @lru_cache(maxsize=None)
 def _normal(expr: SetExpr) -> Normal:
+    refusal = _refusals.get(expr)
+    if refusal is not None:
+        raise UnsupportedIntersection(refusal)
+    try:
+        return _normal_of(expr)
+    except UnsupportedIntersection as exc:
+        _refusals[expr] = str(exc)
+        raise
+
+
+def _normal_of(expr: SetExpr) -> Normal:
     if isinstance(expr, EmptySet):
         return Normal(())
-    if isinstance(expr, (Interval, FinitePoints, RationalsIn, CantorAffine, Sequence, IntervalFamily)):
+    if isinstance(expr, (Interval, RationalsIn)) or (
+        isinstance(expr, FinitePoints) and expr.points and all(p < q for p, q in zip(expr.points, expr.points[1:]))
+    ):
+        return Normal((Piece(expr, ()),))  # an atom that is its own normal form
+    if isinstance(expr, (FinitePoints, CantorAffine, Sequence, IntervalFamily)):
         return _canonical_union([Piece(expr, ())])
     if isinstance(expr, Union):
         pieces: list[Piece] = []

@@ -3,6 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+from limitlab import sets
+from limitlab.analyzers import cardinality, density_at, measure
 from limitlab.dsl import parse_set
 from limitlab.errors import UnsupportedIntersection
 from limitlab.sets import (
@@ -265,6 +267,83 @@ def test_point_removal_reaches_pieces_left_by_an_earlier_split():
     assert normalize(e) == normalize(parse_set("cantor(0, 1) & [0, 1/3)"))
     assert not contains(e, Q(2, 3)) and not contains(e, Q(1, 3))
     assert contains(e, 0) and contains(e, Q(2, 9))
+
+
+def test_rationals_minus_rationals_cancels():
+    e = parse_set("Q((0,1)) & ([0,1] \\ Q((0,1)))")
+    assert normalize(e) == EMPTY
+    assert cardinality(window_trace(e, Q(1, 2), Q(1, 4))).kind == "empty"
+    assert normalize(parse_set("Q((0,2)) \\ Q((0,1))")) == rationals_in(interval(1, 2, True, False))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cantor(0, 1) \\ Q((2, 3))",  # Cantor image minus rationals
+        "cantor(0, 1) \\ seq(3 + 1/n)",  # difference with a sequence
+        "cantor(0, 1) \\ family(3 + 1/n - (1/2)^n, 3 + 1/n)",  # thin atom minus family tail
+    ],
+)
+def test_cantor_minus_an_atom_with_a_disjoint_box_is_the_cantor_atom(text):
+    e = parse_set(text)
+    assert normalize(e) == cantor_affine(0, 1)
+    assert measure(e).value == 0
+    assert contains(e, Q(2, 3)) and not contains(e, Q(1, 2))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a family tail intersected keeps itself as a removal")
+def test_family_tail_minus_itself_has_measure_zero():
+    # _piece_intersect keeps the tail with itself as a removal, and the
+    # measure counts the tail's members
+    e = parse_set("family(1/n - (1/2)^n, 1/n) & (R \\ family(1/n - (1/2)^n, 1/n))")
+    assert measure(e).value == 0
+
+
+# --- refusals are remembered next to normal forms -------------------------------------
+
+
+def test_refusals_are_memoized(monkeypatch):
+    runs: dict = {}
+    body = sets._normal_of
+
+    def counted(expr):
+        runs[expr] = runs.get(expr, 0) + 1
+        return body(expr)
+
+    monkeypatch.setattr(sets, "_refusals", {})
+    monkeypatch.setattr(sets, "_normal_of", counted)
+    sets._normal.cache_clear()
+    entry_points = {
+        "normalize": normalize,
+        "measure": measure,
+        "density_at": lambda e: density_at(e, 0),
+        "window_trace": lambda e: window_trace(e, 0, Q(1, 2)),
+    }
+    rng = random.Random(23)
+    pts = sample_rats(rng, 30)
+    refused = []
+    for _ in range(400):
+        expr = rand_set_expr(rng, depth=3)
+        try:
+            normalize(expr)
+        except UnsupportedIntersection:
+            refused.append(expr)
+    assert len(refused) >= 15
+    for expr in refused:
+        for name, call in entry_points.items():
+            outcomes = []
+            for _ in range(10):
+                try:
+                    call(expr)
+                    outcomes.append(None)
+                except UnsupportedIntersection as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] is not None or name == "window_trace", (name, expr)
+            assert outcomes[9] == outcomes[0], (name, expr)
+        for x in pts:
+            assert contains(expr, x) == _tree_contains(expr, x), (expr, x)
+        assert runs[expr] == 1, expr
+    assert max(runs.values()) == 1
 
 
 # --- known defect: the canonical union drops removals of thin cores ----------------
