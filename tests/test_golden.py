@@ -8,7 +8,8 @@ and window-trace cardinality.  The same records are kept for the mirror
 images x -> -x of all of them (functions at -a, densities at 0 and -1/2),
 so that tails approaching a point from the left are pinned as well as from
 the right, together with `sample_points(e, 16)` for every set and its mirror.
-A refactor must leave it byte-identical.
+It also keeps the classify matrix and outcomes for `corpus(2024, 200)`, the
+corpus of `test_theorems.py`.  A refactor must leave it byte-identical.
 
 Rewrite the file after a deliberate behaviour change with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -75,9 +76,8 @@ def _decomposition(d) -> dict:
     return {"delta0": _q(d.delta0), "union": set_to_text(d.exceptional_union)}
 
 
-def _function_record(name: str, f, a: Q) -> dict:
-    rep = classify(f, a)
-    rec = {
+def _report_record(name: str, f, a: Q, rep) -> dict:
+    return {
         "name": name,
         "fn": fn_to_text(f),
         "a": _q(a),
@@ -85,9 +85,14 @@ def _function_record(name: str, f, a: Q) -> dict:
         "chain_consistent": rep.chain_consistent,
         "matrix": {f"{t.value}@{L}": s for (t, L), s in sorted(rep.matrix.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))},
         "outcomes": {t.value: [o.exists, _q(o.value)] for t, o in sorted(rep.outcomes.items(), key=lambda kv: kv[0].value)},
-        "checks": {
-            f"{t.value}@{L}": _verdict(check(f, a, L, t)) for t in LimitType for L in rep.candidates
-        },
+    }
+
+
+def _function_record(name: str, f, a: Q) -> dict:
+    rep = classify(f, a)
+    rec = _report_record(name, f, a, rep)
+    rec["checks"] = {
+        f"{t.value}@{L}": _verdict(check(f, a, L, t)) for t in LimitType for L in rep.candidates
     }
     decomps = {}
     uniq = {}
@@ -139,7 +144,10 @@ def golden_records() -> dict:
     sets = [_set_record(e) for e in trees]
     sets += [_set_record(mirror(e), (Q(0), Q(-1, 2))) for e in trees]
     samples = [_samples_record(e) for e in trees + [mirror(e) for e in trees]]
-    return {"functions": functions, "sets": sets, "samples": samples}
+    theorems = [
+        _report_record(f"corpus2024[{i}]", f, a, classify(f, a)) for i, (f, a) in enumerate(corpus(2024, 200))
+    ]
+    return {"functions": functions, "sets": sets, "samples": samples, "theorems": theorems}
 
 
 def render() -> str:
@@ -151,7 +159,7 @@ def test_golden_verdicts():
     frozen_text = GOLDEN.read_text(encoding="utf-8")
     if text != frozen_text:
         fresh, frozen = json.loads(text), json.loads(frozen_text)
-        for kind in ("functions", "sets", "samples"):
+        for kind in ("functions", "sets", "samples", "theorems"):
             assert len(fresh[kind]) == len(frozen[kind])
             for new, old in zip(fresh[kind], frozen[kind]):
                 assert new == old
