@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .analyzers import cardinality, trace_measure
 from .errors import PrerequisiteNotMet, UnsupportedIntersection
-from .functions import PiecewiseFn, fn_eval, fn_sub, nonzero_set, punctured_window
-from .limits import LimitType, check, _carrier
+from .functions import PiecewiseFn, fn_evaluator, fn_sub, nonzero_set, punctured_window
+from .limits import LimitType, _carrier, _region_germs, _status, check
 from .poly import Poly
 from .sets import EmptySet, Intersection, SetExpr, Union, normalize, window_trace
 from .sampling import sample_points
@@ -73,10 +73,11 @@ def verify_decomposition(d: Decomposition, f: PiecewiseFn, a, L, t: LimitType, p
     is countable (T5) or has measure zero (T6).
     """
     a, L = Q(a), Q(L)
+    eval_g, eval_h, eval_f = fn_evaluator(d.g), fn_evaluator(d.h), fn_evaluator(f)
     for x in sample_points(f.domain, count=probes, seed=seed, center=a, spread=max(d.delta0, 1)):
-        if fn_eval(d.g, x) + fn_eval(d.h, x) != fn_eval(f, x):
+        if eval_g(x) + eval_h(x) != eval_f(x):
             return False
-    if not check(d.g, a, L, LimitType.T1).passed():
+    if _status(_region_germs(d.g, a, LimitType.T1), L) != "pass":
         return False
     try:
         support = nonzero_set(d.h)

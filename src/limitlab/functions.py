@@ -9,6 +9,7 @@ within a certified measure gap otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +31,7 @@ from .sets import (
     Union,
     contains,
     interval,
+    membership,
     normalize,
     points,
 )
@@ -71,14 +73,26 @@ class SandwichSet:
         return self.gap == 0 and self.inner == self.outer
 
 
+def fn_evaluator(f: PiecewiseFn) -> Callable[[Q], Q]:
+    """Exact evaluation of f, with the domain's and every guard's membership
+    test resolved once for all the points it is called on."""
+    in_domain = membership(f.domain)
+    branches = [(membership(guard), p) for guard, p in f.branches]
+
+    def evaluate(x) -> Q:
+        x = Q(x)
+        if not in_domain(x):
+            raise OutsideDomain(f"{x} is outside the function domain")
+        for in_guard, p in branches:
+            if in_guard(x):
+                return p(x)
+        return f.default(x)
+
+    return evaluate
+
+
 def fn_eval(f: PiecewiseFn, x) -> Q:
-    x = Q(x)
-    if not contains(f.domain, x):
-        raise OutsideDomain(f"{x} is outside the function domain")
-    for guard, p in f.branches:
-        if contains(guard, x):
-            return p(x)
-    return f.default(x)
+    return fn_evaluator(f)(x)
 
 
 @lru_cache(maxsize=None)

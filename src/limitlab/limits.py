@@ -5,13 +5,23 @@ window makes the exceptional set {x : |f(x) - L| >= eps} "small" in the
 sense of t: empty (T1), zero-density (T2), finite (T3), without
 accumulation points (T4), countable (T5), or of measure zero (T6).
 
-The checker reduces the universal eps-quantifier to finitely many tests:
-the structure of the exceptional set near a only changes at the thresholds
-|p(a) - L| over the branch polynomials, so one representative inside each
-band plus the thresholds themselves decide every eps.  For each test the
-engine classifies the *germ* of the exceptional set at a - which pieces of
-its normal form accumulate at a - and certifies Pass on the outer sandwich
-side, Fail on the inner side.
+Whether some window works depends only on the *germ* of the exceptional set
+at a, and for a piecewise polynomial f that germ is known without solving
+for it.  On an effective region whose branch has p(a) = L, continuity keeps
+|p - L| below any eps near a, so the region adds nothing to the germ.  On a
+region with p(a) != L, every eps below |p(a) - L| keeps the whole region near
+a.  So for eps below the smallest nonzero gap the germ is the union of the
+germs of the regions with p(a) != L, and it only shrinks as eps grows.  Each
+notion of small holds for a finite union exactly when it holds for every
+part.  Hence L is a type-t limit exactly when every region with p(a) != L
+has a t-small germ at a: one table of (p(a), small) per region decides
+every candidate L, with no eps bands and no root isolation.
+
+A `pass` from `check` also carries an (eps, delta) witness for each eps
+band up to the largest gap.  Only these witnesses need root isolation: each
+delta is read from the outer side of the exceptional set's sandwich, or,
+when that set cannot be normalized, from each region's own sandwich, the
+smallest radius serving.
 """
 
 from __future__ import annotations
@@ -23,16 +33,24 @@ from functools import lru_cache
 
 from .analyzers import density_at
 from .errors import UndecidableDensity, UnsupportedIntersection
-from .functions import PiecewiseFn, SandwichSet, effective_regions, superlevel_sandwich
+from .functions import (
+    PiecewiseFn,
+    SandwichSet,
+    effective_regions,
+    isolate_superlevel,
+    superlevel_sandwich,
+)
 from .sets import (
     COUNTABLE_KINDS,
     NULL_KINDS,
+    Intersection,
     Interval,
     IntervalFamily,
     Piece,
     SetExpr,
     _normal,
     family_tail_info,
+    normalize,
     piece_reaches,
     vanish_radius,
 )
@@ -150,35 +168,73 @@ def _test_epsilons(f: PiecewiseFn, a: Q, L: Q) -> list[Q]:
     return tests
 
 
+def _region_germs(f: PiecewiseFn, a: Q, t: LimitType) -> tuple[tuple[Q | None, bool | str], ...]:
+    """One (p(a), small) entry per effective region: small is whether the
+    region's germ at a is t-small, or the reason that is unknown."""
+    try:
+        regions = effective_regions(f)
+    except UnsupportedIntersection as exc:
+        return ((None, f"set algebra: {exc}"),)  # one region of unknown value
+    germs = []
+    for region, p in regions:
+        try:
+            small = _germ_small(region, a, t)
+        except UnsupportedIntersection as exc:
+            small = f"set algebra: {exc}"
+        germs.append((p(a), "density asymptotics outside the rule table" if small is None else small))
+    return tuple(germs)
+
+
+def _status(germs, L: Q) -> str:
+    """'fail' if a region with p(a) != L is not small, 'undecidable' if one
+    is unknown, 'pass' otherwise."""
+    smalls = [small for value, small in germs if value != L]
+    if any(small is False for small in smalls):
+        return "fail"
+    if any(small is not True for small in smalls):
+        return "undecidable"
+    return "pass"
+
+
+def _region_delta(f: PiecewiseFn, a: Q, L: Q, eps: Q, t: LimitType) -> Q | None:
+    """Witness radius for one eps taken region by region, for when the
+    global carrier cannot be normalized."""
+    deltas = [
+        _witness_delta(normalize(Intersection((region, isolate_superlevel(p, L, eps).outer))), a, t)
+        for region, p in effective_regions(f)
+    ]
+    return None if None in deltas else min(deltas)
+
+
 def check(f: PiecewiseFn, a, L, t: LimitType) -> Verdict:
     """Decide whether L is a limit of type t for f at a."""
     a, L = Q(a), Q(L)
+    germs = _region_germs(f, a, t)
+    status = _status(germs, L)
+    if status == "undecidable":
+        reason = next(small for value, small in germs if value != L and small is not True)
+        return Verdict("undecidable", evidence=reason)
+    eps_tests = _test_epsilons(f, a, L)
+    if status == "fail":
+        return Verdict(
+            "fail",
+            evidence=f"eps={eps_tests[0]}: the exceptional set stays non-{_small_name(t)} "
+            "in every window",
+        )
     witness = []
     try:
-        eps_tests = _test_epsilons(f, a, L)
         for eps in eps_tests:
-            carrier = _carrier(f, L, eps)
-            inner_small = _germ_small(carrier.inner, a, t)
-            if inner_small is False:
-                return Verdict(
-                    "fail",
-                    evidence=f"eps={eps}: the exceptional set stays non-{_small_name(t)} "
-                    "in every window",
-                )
-            outer_small = _germ_small(carrier.outer, a, t)
-            if outer_small is True:
-                delta = _witness_delta(carrier.outer, a, t)
-                witness.append((eps, delta if delta is not None else Q(1)))
-                continue
-            reason = (
-                "density asymptotics outside the rule table"
-                if outer_small is None or inner_small is None
-                else f"sandwich sides disagree (gap {carrier.gap})"
-            )
-            return Verdict("undecidable", evidence=f"eps={eps}: {reason}")
-        return Verdict("pass", witness=tuple(witness))
+            try:
+                delta = _witness_delta(_carrier(f, L, eps).outer, a, t)
+            except UnsupportedIntersection:
+                delta = _region_delta(f, a, L, eps, t)
+            if delta is None:
+                # the germ is small, but a root enclosure of the sandwich reaches a
+                return Verdict("undecidable", evidence=f"eps={eps}: sandwich sides disagree at the point")
+            witness.append((eps, delta))
     except UnsupportedIntersection as exc:
         return Verdict("undecidable", evidence=f"set algebra: {exc}")
+    return Verdict("pass", witness=tuple(witness))
 
 
 def _small_name(t: LimitType) -> str:
@@ -192,40 +248,27 @@ def _small_name(t: LimitType) -> str:
     }[t]
 
 
-def _persistent_values(f: PiecewiseFn, a: Q, t: LimitType) -> set[Q]:
-    """Branch values whose carrying regions are non-small arbitrarily close
-    to a; two distinct ones rule out every limit value of type t."""
-    values = set()
-    for region, p in effective_regions(f):
-        small = _germ_small(region, a, t)
-        if small is False:
-            values.add(p(a))
-    return values
-
-
 def classify(f: PiecewiseFn, a) -> LimitReport:
-    """Run every type over every candidate value and assemble the report.
+    """Read every type over every candidate value from the region table.
 
-    The types of one CHAIN group are equivalent, so each group is checked
-    once and its result stands for all of its types.
+    The types of one CHAIN group are equivalent, so each group is decided
+    once and its result stands for all of its types.  When nothing passes,
+    two distinct values of non-small regions rule out every limit value.
     """
     a = Q(a)
     cands = candidates(f, a)
     statuses = {}
     outcomes = {}
     for group in CHAIN:
-        t = group[0]
-        status = {L: check(f, a, L, t).status for L in cands}
+        germs = _region_germs(f, a, group[0])
+        status = {L: _status(germs, L) for L in cands}
         passing = [L for L in cands if status[L] == "pass"]
         if passing:
             outcome = TypeOutcome("yes", passing[0])
         elif "undecidable" in status.values():
             outcome = TypeOutcome("undecidable", None)
         else:
-            try:
-                persistent = _persistent_values(f, a, t)
-            except UnsupportedIntersection:
-                persistent = set()
+            persistent = {value for value, small in germs if small is False}
             outcome = TypeOutcome("no" if len(persistent) >= 2 else "undecidable", None)
         for member in group:
             statuses[member] = status

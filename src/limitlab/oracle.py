@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .analyzers import measure
 from .errors import RangeError, UnsupportedIntersection
-from .sets import Intersection, SetExpr, contains, open_interval
+from .sets import Intersection, SetExpr, membership, open_interval
 
 Q = Fraction
 
@@ -51,10 +51,10 @@ def mc_measure(expr: SetExpr, cfg: SampleConfig) -> MCEstimate:
         raise RangeError("window radius and sample count must be positive")
     lo = cfg.center - cfg.radius
     width = 2 * cfg.radius
+    member = membership(expr)
     hits = 0
     for i in range(cfg.samples):
-        x = lo + width * _unit_sample(cfg.seed, i)
-        if contains(expr, x):
+        if member(lo + width * _unit_sample(cfg.seed, i)):
             hits += 1
     p = hits / cfg.samples
     sigma = math.sqrt(max(p * (1 - p), 1e-12) / cfg.samples) * float(width)

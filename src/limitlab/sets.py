@@ -24,9 +24,10 @@ are always built from the real atom.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import RangeError, UnsupportedIntersection
 from .terms import Term
@@ -589,6 +590,7 @@ class SeqInfo:
     tail_start: int
     side: int  # sign of term(n) - limit on the tail
     dist: Term  # side * (term - limit): positive, strictly decreasing on the tail
+    first: Q  # an upper bound on dist(tail_start), the largest distance on the tail
 
 
 @lru_cache(maxsize=None)
@@ -598,7 +600,8 @@ def _seq_info(term: Term, start: int) -> SeqInfo:
     step = term - term.shifted()
     s_step, n_step = step.eventual_sign()
     assert side != 0 and s_step != 0
-    return SeqInfo(max(start, n_side, n_step), side, dev.scale(side))
+    tail_start, dist = max(start, n_side, n_step), dev.scale(side)
+    return SeqInfo(tail_start, side, dist, dist.eval_bounds(tail_start)[1])
 
 
 @lru_cache(maxsize=None)
@@ -661,7 +664,7 @@ def _seq_index(tail: Sequence, x: Q) -> int | None:
     """Index n of the canonical tail with term(n) == x, if any."""
     info = _seq_info(tail.term, tail.start)
     d = info.side * (x - tail.limit)
-    if d <= 0:
+    if d <= 0 or d > info.first:
         return None
     n = _monotone_first(info.dist, tail.start, d)
     return n if n is not None and info.dist.compare_at(n, d) == 0 else None
@@ -1459,10 +1462,9 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
     final_pts = {x for x in pts if not any(piece_contains(p, x) for p in other_pieces)}
     if final_pts:
         solids = merge_intervals([_absorb_ends(s, final_pts) for s in solids])
-        q_out = [
-            qp if qp.removals else Piece(RationalsIn(_absorb_ends(qp.core.iv, final_pts)), ())
-            for qp in q_out
-        ]
+        # a closed end can join two plain rational pieces: Q((0,1]) + Q((1,2))
+        plain = merge_intervals([_absorb_ends(qp.core.iv, final_pts) for qp in q_out if not qp.removals])
+        q_out = [Piece(RationalsIn(iv), ()) for iv in plain] + [qp for qp in q_out if qp.removals]
 
     result: list[Piece] = [Piece(s, ()) for s in solids]
     result.extend(merged_shaved)
@@ -1593,13 +1595,18 @@ def normalize(expr: SetExpr) -> SetExpr:
     return _normal(expr).to_expr()
 
 
+def membership(expr: SetExpr) -> Callable[[Q], bool]:
+    """Exact membership test of expr on rationals, resolved once: the normal
+    form's, or a walk of the tree when the expression is refused."""
+    try:
+        return _normal(expr).contains
+    except UnsupportedIntersection:
+        return partial(_tree_contains, expr)
+
+
 def contains(expr: SetExpr, x) -> bool:
     """Exact membership; never raises, even for non-normalizable trees."""
-    x = Q(x)
-    try:
-        return _normal(expr).contains(x)
-    except UnsupportedIntersection:
-        return _tree_contains(expr, x)
+    return membership(expr)(Q(x))
 
 
 def _tree_contains(expr: SetExpr, x: Q) -> bool:

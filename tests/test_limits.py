@@ -2,9 +2,17 @@ from fractions import Fraction as Q
 
 import pytest
 
-from limitlab.functions import PiecewiseFn, indicator_fn
+from limitlab.analyzers import cardinality, has_no_accumulation_point, trace_measure
+from limitlab.errors import UnsupportedIntersection
+from limitlab.functions import PiecewiseFn, exceptional_set, indicator_fn
 from limitlab.limits import (
     LimitType,
+    _carrier,
+    _germ_small,
+    _region_germs,
+    _status,
+    _test_epsilons,
+    _witness_delta,
     candidates,
     check,
     classify,
@@ -19,8 +27,11 @@ from limitlab.sets import (
     points,
     rationals_in,
     sequence,
+    window_trace,
 )
 from limitlab.terms import Term
+
+from conftest import corpus, mirror_fn
 
 
 T1, T2, T3, T4, T5, T6 = (
@@ -128,3 +139,64 @@ def test_sequence_domain_vacuous_pass_away_from_limit():
     # at the accumulation point 0 only the true limit passes
     assert check(f, 0, 7, T1).passed()
     assert check(f, 0, 8, T1).failed()
+
+
+# --- the region table against the eps-band reference -----------------------------
+
+
+def _eps_band_reference(f, a, L, t):
+    """(status, witness) of the eps-band check: at each test eps, the global
+    carrier's inner sandwich side certifies a fail and its outer side a pass."""
+    witness = []
+    try:
+        for eps in _test_epsilons(f, a, L):
+            carrier = _carrier(f, L, eps)
+            if _germ_small(carrier.inner, a, t) is False:
+                return "fail", ()
+            if _germ_small(carrier.outer, a, t) is not True:
+                return "undecidable", ()
+            witness.append((eps, _witness_delta(carrier.outer, a, t)))
+    except UnsupportedIntersection:
+        return "undecidable", ()
+    return "pass", tuple(witness)
+
+
+def _window_small(f, a, L, eps, delta, t) -> bool:
+    """Recheck a witness without the germ code: the exceptional set's outer
+    sandwich side, traced on the punctured delta-window, is t-small."""
+    trace = window_trace(exceptional_set(f, a, L, delta, eps).outer, a, delta)
+    if t is T1:
+        return cardinality(trace).kind == "empty"
+    if t is T3:
+        return cardinality(trace).kind in ("empty", "finite")
+    if t is T4:
+        return has_no_accumulation_point(trace)
+    if t is T5:
+        return cardinality(trace).kind != "uncountable"
+    m = trace_measure(trace)
+    return m.value == 0 and m.bound_gap == 0
+
+
+def _differential_cases(dirichlet, cantor_indicator, omega_indicator):
+    cases = [(dirichlet, Q(0)), (cantor_indicator, Q(0)), (omega_indicator, Q(0))] + corpus(11, 60)
+    return cases + [(mirror_fn(f), -a) for f, a in cases]
+
+
+def test_region_table_agrees_with_the_eps_band_reference(dirichlet, cantor_indicator, omega_indicator):
+    newly_decided = 0
+    for f, a in _differential_cases(dirichlet, cantor_indicator, omega_indicator):
+        rep = classify(f, a)
+        for t in LimitType:
+            germs = _region_germs(f, a, t)
+            for L in rep.candidates:
+                verdict = check(f, a, L, t)
+                assert rep.matrix[(t, L)] == verdict.status == _status(germs, L)
+                ref_status, ref_witness = _eps_band_reference(f, a, L, t)
+                if ref_status != "undecidable":
+                    assert (verdict.status, verdict.witness) == (ref_status, ref_witness)
+                    continue
+                newly_decided += verdict.status != "undecidable"
+                if verdict.passed() and t is not T2:  # a T2 witness is nominal
+                    for eps, delta in verdict.witness:
+                        assert _window_small(f, a, L, eps, delta, t), (a, L, t, eps, delta)
+    assert newly_decided > 0

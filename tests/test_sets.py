@@ -72,6 +72,12 @@ def test_normalize_idempotent_random():
     assert checked >= 80
 
 
+def test_normal_form_is_a_fixpoint_when_a_point_joins_two_rational_pieces():
+    once = normalize(parse_set("Q((0,1)) | Q((1,2)) | points(1)"))
+    assert once == parse_set("Q((0,2))")
+    assert normalize(once) == once
+
+
 def test_contains_agrees_with_normalize():
     # the reference is node-by-node membership on the tree, which never
     # builds a normal form
