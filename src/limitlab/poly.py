@@ -67,9 +67,11 @@ class Poly:
         return self.coeffs[0] if self.coeffs else Q(0)
 
     def __call__(self, x) -> Q:
+        if not self.coeffs:
+            return Q(0)
         x = _as_q(x)
-        acc = Q(0)
-        for c in reversed(self.coeffs):
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
 
