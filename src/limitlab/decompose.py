@@ -2,10 +2,13 @@
 
 When L is a T5 (or T6) limit of f at a, f splits into g with a classical
 limit L at a and a remainder h supported - inside some window - on a
-countable (respectively measure-zero) set.  The construction freezes the
-exceptional sets at the finitely many structurally distinct eps bands,
-with window radii chosen nonincreasing so the largest one serves as the
-certified window radius of the decomposition.
+countable (respectively measure-zero) set.  The status comes from the
+region table of `limits`; the construction walks the same eps bands as the
+witnesses of `check`, in decreasing eps, with window radii forced
+nonincreasing so the largest one serves as the certified window radius of
+the decomposition.  Each band's exceptional set is clipped to its window
+region by region, so a union of regions that cannot be normalized as a
+whole does not block a decomposition whose clipped parts can.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from .analyzers import cardinality, trace_measure
 from .errors import PrerequisiteNotMet, UnsupportedIntersection
 from .functions import PiecewiseFn, fn_evaluator, fn_sub, nonzero_set, punctured_window
-from .limits import LimitType, _carrier, _region_germs, _status, check
+from .limits import LimitType, _bands, _region_germs, _status, check
 from .poly import Poly
 from .sets import EmptySet, Intersection, SetExpr, Union, normalize, window_trace
 from .sampling import sample_points
@@ -41,22 +44,26 @@ def decompose(f: PiecewiseFn, a, L, t: LimitType) -> Decomposition:
     a, L = Q(a), Q(L)
     if t not in (LimitType.T5, LimitType.T6):
         raise ValueError("decomposition applies to T5 and T6")
-    verdict = check(f, a, L, t)
-    if not verdict.passed():
-        raise PrerequisiteNotMet(f"no type-{t.value} limit {L} at {a}: {verdict.evidence}")
+    try:
+        bands = list(_bands(f, a, L, t)) if _status(_region_germs(f, a, t), L) == "pass" else []
+    except UnsupportedIntersection:
+        bands = []
+    if not bands or any(delta is None for _, delta, _ in bands):
+        raise PrerequisiteNotMet(f"no type-{t.value} limit {L} at {a}: {check(f, a, L, t).evidence}")
 
-    # the verdict's (eps, delta) witnesses in decreasing eps order; window
-    # radii forced nonincreasing so the first (largest) radius bounds every
-    # later one
-    witness = sorted(verdict.witness, reverse=True)
-    delta0 = running = witness[0][1]
+    # walk the bands in decreasing eps with window radii forced nonincreasing,
+    # so the first (largest) radius bounds every later one; each region's
+    # part is clipped on its own
+    delta0 = running = bands[-1][1]
     parts = []
-    for eps, delta in witness:
+    for _, delta, band in reversed(bands):
         running = min(running, delta)
-        clipped = normalize(Intersection((_carrier(f, L, eps).outer, punctured_window(a, running))))
-        if not isinstance(clipped, EmptySet):
-            parts.append(clipped)
-    union = normalize(Union(tuple(parts))) if parts else normalize(Union(()))
+        window = punctured_window(a, running)
+        for part in band:
+            clipped = normalize(Intersection((part, window)))
+            if not isinstance(clipped, EmptySet):
+                parts.append(clipped)
+    union = normalize(Union(tuple(parts)))
     if parts:
         g = PiecewiseFn(f.domain, ((union, Poly.const(L)),) + f.branches, f.default)
     else:

@@ -17,11 +17,13 @@ part.  Hence L is a type-t limit exactly when every region with p(a) != L
 has a t-small germ at a: one table of (p(a), small) per region decides
 every candidate L, with no eps bands and no root isolation.
 
-A `pass` from `check` also carries an (eps, delta) witness for each eps
-band up to the largest gap.  Only these witnesses need root isolation: each
-delta is read from the outer side of the exceptional set's sandwich, or,
-when that set cannot be normalized, from each region's own sandwich, the
-smallest radius serving.
+One walk over the eps bands up to the largest gap, `_bands`, is the only
+place that needs root isolation.  At each test eps it isolates every
+region's superlevel set once and yields the parts region ∩ outer sandwich
+side, with a witness radius delta read from their union, or, when the union
+cannot be normalized, from each part, the smallest radius serving.  A `pass`
+from `check` carries these (eps, delta) witnesses; `decompose` clips the
+same parts to build its exceptional union.
 """
 
 from __future__ import annotations
@@ -29,17 +31,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .analyzers import density_at
 from .errors import UndecidableDensity, UnsupportedIntersection
-from .functions import (
-    PiecewiseFn,
-    SandwichSet,
-    effective_regions,
-    isolate_superlevel,
-    superlevel_sandwich,
-)
+from .functions import PiecewiseFn, effective_regions, isolate_superlevel
 from .sets import (
     COUNTABLE_KINDS,
     NULL_KINDS,
@@ -48,6 +43,7 @@ from .sets import (
     IntervalFamily,
     Piece,
     SetExpr,
+    Union,
     _normal,
     family_tail_info,
     normalize,
@@ -106,12 +102,6 @@ def candidates(f: PiecewiseFn, a) -> tuple[Q, ...]:
     vals = {p(a) for _, p in f.branches}
     vals.add(f.default(a))
     return tuple(sorted(vals))
-
-
-@lru_cache(maxsize=None)
-def _carrier(f: PiecewiseFn, L: Q, eps: Q) -> SandwichSet:
-    """Sandwich of {x in domain : |f(x) - L| >= eps} (no window applied)."""
-    return superlevel_sandwich(f, L, eps)
 
 
 # atom kinds a small germ may contain, by limit type (T2 is decided by density)
@@ -196,14 +186,23 @@ def _status(germs, L: Q) -> str:
     return "pass"
 
 
-def _region_delta(f: PiecewiseFn, a: Q, L: Q, eps: Q, t: LimitType) -> Q | None:
-    """Witness radius for one eps taken region by region, for when the
-    global carrier cannot be normalized."""
-    deltas = [
-        _witness_delta(normalize(Intersection((region, isolate_superlevel(p, L, eps).outer))), a, t)
-        for region, p in effective_regions(f)
-    ]
-    return None if None in deltas else min(deltas)
+def _bands(f: PiecewiseFn, a: Q, L: Q, t: LimitType):
+    """Yield (eps, delta, parts) for each test eps, in increasing eps.
+
+    parts holds region ∩ outer, the outer sandwich side of the region's
+    superlevel set, for every effective region.  delta is the witness radius
+    of their union, or, when the union cannot be normalized, the smallest
+    radius serving every part; None when a part reaches a.
+    """
+    regions = effective_regions(f)
+    for eps in _test_epsilons(f, a, L):
+        parts = tuple(Intersection((region, isolate_superlevel(p, L, eps).outer)) for region, p in regions)
+        try:
+            delta = _witness_delta(normalize(Union(parts)), a, t)
+        except UnsupportedIntersection:
+            deltas = [_witness_delta(normalize(part), a, t) for part in parts]
+            delta = None if None in deltas else min(deltas)
+        yield eps, delta, parts
 
 
 def check(f: PiecewiseFn, a, L, t: LimitType) -> Verdict:
@@ -214,20 +213,15 @@ def check(f: PiecewiseFn, a, L, t: LimitType) -> Verdict:
     if status == "undecidable":
         reason = next(small for value, small in germs if value != L and small is not True)
         return Verdict("undecidable", evidence=reason)
-    eps_tests = _test_epsilons(f, a, L)
     if status == "fail":
         return Verdict(
             "fail",
-            evidence=f"eps={eps_tests[0]}: the exceptional set stays non-{_small_name(t)} "
+            evidence=f"eps={_test_epsilons(f, a, L)[0]}: the exceptional set stays non-{_small_name(t)} "
             "in every window",
         )
     witness = []
     try:
-        for eps in eps_tests:
-            try:
-                delta = _witness_delta(_carrier(f, L, eps).outer, a, t)
-            except UnsupportedIntersection:
-                delta = _region_delta(f, a, L, eps, t)
+        for eps, delta, _ in _bands(f, a, L, t):
             if delta is None:
                 # the germ is small, but a root enclosure of the sandwich reaches a
                 return Verdict("undecidable", evidence=f"eps={eps}: sandwich sides disagree at the point")

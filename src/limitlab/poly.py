@@ -105,50 +105,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly.make(c * i for i, c in enumerate(self.coeffs) if i >= 1)
 
-    def divmod_(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = other.degree
-        lead = div[-1]
-        quot = [Q(0)] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            q = rem[-1] / lead
-            quot[k] = q
-            for i, c in enumerate(div):
-                rem[k + i] -= q * c
-            rem.pop()
-        return Poly.make(quot), Poly.make(rem)
-
-    def rem(self, other: "Poly") -> "Poly":
-        return self.divmod_(other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly(tuple(c / lead for c in self.coeffs))
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.rem(b)
-        return a.monic() if not a.is_zero() else a
-
-    def square_free(self) -> "Poly":
-        if self.degree <= 1:
-            return self.monic() if not self.is_zero() else self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.monic()
-        return self.divmod_(g)[0].monic()
-
     def to_text(self, var: str = "x") -> str:
         if self.is_zero():
             return "0"

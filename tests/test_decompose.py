@@ -4,14 +4,14 @@ from fractions import Fraction as Q
 import pytest
 
 from limitlab.decompose import Decomposition, decompose, verify_decomposition
-from limitlab.errors import PrerequisiteNotMet
+from limitlab.errors import PrerequisiteNotMet, UnsupportedIntersection
 from limitlab.functions import PiecewiseFn, fn_add, fn_eval, indicator_fn
-from limitlab.limits import LimitType, check
+from limitlab.limits import LimitType, check, classify
 from limitlab.poly import Poly
 from limitlab.sampling import sample_points
 from limitlab.sets import FULL_LINE, contains, interval, rationals_in
 
-from conftest import CORPUS_POINTS, certified_fn
+from conftest import CORPUS_POINTS, certified_fn, corpus, mirror_fn
 
 T5, T6 = LimitType.T5, LimitType.T6
 
@@ -93,3 +93,32 @@ def test_support_of_h_inside_union(dirichlet):
             continue
         if fn_eval(d.h, x) != 0:
             assert contains(d.exceptional_union, x)
+
+
+def test_region_parts_decompose_where_the_global_carrier_is_refused():
+    # the union of this function's exceptional regions does not normalize,
+    # but each region's part clipped to the witness window does
+    f, a = corpus(11, 60)[25]
+    for g, b in ((f, a), (mirror_fn(f), -a)):
+        for t in (T5, T6):
+            out = classify(g, b).outcomes[t]
+            assert out.exists == "yes"
+            d = decompose(g, b, out.value, t)
+            assert verify_decomposition(d, g, b, out.value, t)
+
+
+def test_delta0_is_the_largest_eps_witness():
+    done = 0
+    for f, a in corpus(11, 60):
+        rep = classify(f, a)
+        for t in (T5, T6):
+            out = rep.outcomes[t]
+            if out.exists != "yes":
+                continue
+            try:
+                d = decompose(f, a, out.value, t)
+            except UnsupportedIntersection:
+                continue  # refused by the set algebra
+            assert d.delta0 == max(check(f, a, out.value, t).witness)[1]
+            done += 1
+    assert done > 0

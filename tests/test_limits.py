@@ -4,10 +4,9 @@ import pytest
 
 from limitlab.analyzers import cardinality, has_no_accumulation_point, trace_measure
 from limitlab.errors import UnsupportedIntersection
-from limitlab.functions import PiecewiseFn, exceptional_set, indicator_fn
+from limitlab.functions import PiecewiseFn, exceptional_set, indicator_fn, superlevel_sandwich
 from limitlab.limits import (
     LimitType,
-    _carrier,
     _germ_small,
     _region_germs,
     _status,
@@ -150,7 +149,7 @@ def _eps_band_reference(f, a, L, t):
     witness = []
     try:
         for eps in _test_epsilons(f, a, L):
-            carrier = _carrier(f, L, eps)
+            carrier = superlevel_sandwich(f, L, eps)
             if _germ_small(carrier.inner, a, t) is False:
                 return "fail", ()
             if _germ_small(carrier.outer, a, t) is not True:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitlab import functions
+from limitlab import functions, poly
 from limitlab.decompose import decompose
 from limitlab.errors import LimitLabError
 from limitlab.limits import LimitType, classify
@@ -24,21 +24,6 @@ def test_eval_and_arithmetic():
     assert (p * q)(2) == 34
     assert (p - p).is_zero()
     assert p.scale(Q(1, 2))(2) == Q(17, 2)
-
-
-def test_divmod_and_gcd():
-    p = Poly.make([-1, 0, 1])  # x^2 - 1
-    d = Poly.make([-1, 1])  # x - 1
-    quo, rem = p.divmod_(d)
-    assert rem.is_zero() and quo == Poly.make([1, 1])
-    assert p.gcd(d) == Poly.make([-1, 1])
-
-
-def test_square_free_strips_multiplicity():
-    double = Poly.make([-1, 1]) * Poly.make([-1, 1]) * Poly.make([2, 1])
-    sf = double.square_free()
-    assert sf.degree == 2
-    assert sf(1) == 0 and sf(-2) == 0
 
 
 def test_sturm_root_count():
@@ -165,11 +150,7 @@ _COEFF_CAP = 10**9
 
 
 def _small_coefficients(p: Poly) -> bool:
-    sf = p.square_free()
-    den = 1
-    for c in sf.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in sf.coeffs]
+    ints = poly._square_free(poly._int_form(p))
     while ints and ints[0] == 0:
         ints.pop(0)
     return all(abs(c) <= _COEFF_CAP for c in (ints[:1] + ints[-1:]))

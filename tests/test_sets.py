@@ -305,6 +305,15 @@ def test_family_tail_minus_itself_has_measure_zero():
     assert measure(e).value == 0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="canonical union keeps duplicate family tails")
+def test_union_with_itself_has_the_same_measure():
+    # _canonical_union dedupes Cantor pieces only: the family tail is kept
+    # twice and its members are measured twice
+    tail = "family(1/n - (1/2)^n, 1/n)"
+    assert measure(parse_set(tail)).value == Q(69, 80)
+    assert measure(parse_set(f"{tail} | {tail}")).value == Q(69, 80)
+
+
 # --- refusals are remembered next to normal forms -------------------------------------
 
 
