@@ -80,7 +80,8 @@ def fn_evaluator(f: PiecewiseFn) -> Callable[[Q], Q]:
     branches = [(membership(guard), p) for guard, p in f.branches]
 
     def evaluate(x) -> Q:
-        x = Q(x)
+        if not isinstance(x, Q):
+            x = Q(x)
         if not in_domain(x):
             raise OutsideDomain(f"{x} is outside the function domain")
         for in_guard, p in branches:

@@ -67,13 +67,14 @@ class Poly:
         return self.coeffs[0] if self.coeffs else Q(0)
 
     def __call__(self, x) -> Q:
-        if not self.coeffs:
-            return Q(0)
+        if self.is_constant():
+            return self.constant_value()
+        # the integer kernel on the coefficients over their common
+        # denominator: one Fraction, built at the end
         x = _as_q(x)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        return Q(_value(ints, x.numerator, x.denominator), den * x.denominator**self.degree)
 
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))

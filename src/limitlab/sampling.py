@@ -20,9 +20,9 @@ from .sets import (
     RationalsIn,
     Sequence,
     _normal,
-    contains,
     family_tail_info,
-    piece_contains,
+    membership,
+    piece_tester,
 )
 
 Q = Fraction
@@ -83,18 +83,20 @@ def sample_points(expr, count: int = 200, seed: int = 0, center=0, spread=2) -> 
         pieces = _normal(expr).pieces
         per = max(4, count // max(1, len(pieces)) + 1)
         for piece in pieces:
+            inside = piece_tester(piece)
             for x in _piece_candidates(piece, rng, center, spread, per):
-                if x not in seen and piece_contains(piece, x):
+                if x not in seen and inside(x):
                     seen.add(x)
                     picked.append(x)
                     if len(picked) >= count:
                         return picked
     except UnsupportedIntersection:
         # fall back to rejection sampling on the raw tree
+        inside = membership(expr)
         for _ in range(count * 20):
             den = rng.choice((64, 256, 1024, 4096))
             x = center - spread + 2 * spread * Q(rng.randrange(0, den + 1), den)
-            if x not in seen and contains(expr, x):
+            if x not in seen and inside(x):
                 seen.add(x)
                 picked.append(x)
                 if len(picked) >= count:

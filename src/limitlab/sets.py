@@ -12,6 +12,13 @@ atom, optionally minus a list of measure-zero removal atoms; co-countable
 sets such as the irrationals in a window are therefore representable, which
 the limit engine needs to certify failure verdicts.
 
+Membership is resolved once per set: every atom's tester() is an exact
+point test with what depends on the atom alone worked out up front (interval
+ends as integers compared by cross-multiplication, a sequence's head and
+distance range, a family tail's resolution), and membership(expr) joins the
+testers of the normal form's pieces into one.  A lookup that can refuse runs
+on the first point that reaches its atom.
+
 Sequence and family tails pile up at their limit L from one side s (+1 from
 the right, -1 from the left).  The side is decided once, when the tail is
 canonicalized, and cached with a strictly decreasing distance term: s*(t - L)
@@ -40,7 +47,15 @@ _CANTOR_DFS_DEPTH = 400
 
 
 class SetExpr:
-    """Base class: any atom or boolean combination node."""
+    """Base class: any atom or boolean combination node.
+
+    Every atom has tester(): its exact membership test on rationals, with
+    what depends on the atom alone resolved once for all the points the
+    test is called on.
+    """
+
+    def contains(self, x: Q) -> bool:
+        return self.tester()(x)
 
     def __or__(self, other):
         return Union((self, other))
@@ -54,8 +69,8 @@ class SetExpr:
 
 @dataclass(frozen=True)
 class EmptySet(SetExpr):
-    def contains(self, x: Q) -> bool:
-        return False
+    def tester(self) -> Callable[[Q], bool]:
+        return _never
 
 
 EMPTY = EmptySet()
@@ -78,12 +93,19 @@ class Interval(SetExpr):
     lo_incl: bool
     hi_incl: bool
 
-    def contains(self, x: Q) -> bool:
-        if self.lo is not None and (x < self.lo or (x == self.lo and not self.lo_incl)):
-            return False
-        if self.hi is not None and (x > self.hi or (x == self.hi and not self.hi_incl)):
-            return False
-        return True
+    def tester(self) -> Callable[[Q], bool]:
+        # By cross-multiplication: denominators are positive, so n*ld - ln*d
+        # has the sign of n/d - ln/ld.  An unbounded end is -1/0 or 1/0,
+        # which every point passes.
+        ln, ld = (-1, 0) if self.lo is None else (self.lo.numerator, self.lo.denominator)
+        hn, hd = (1, 0) if self.hi is None else (self.hi.numerator, self.hi.denominator)
+        lo_min, hi_min = (0 if self.lo_incl else 1), (0 if self.hi_incl else 1)
+
+        def test(x: Q) -> bool:
+            n, d = x.numerator, x.denominator
+            return n * ld - ln * d >= lo_min and hn * d - n * hd >= hi_min
+
+        return test
 
     def box(self) -> Interval:
         return self
@@ -107,8 +129,8 @@ class FinitePoints(SetExpr):
 
     points: tuple[Q, ...]  # sorted, distinct
 
-    def contains(self, x: Q) -> bool:
-        return x in self.points
+    def tester(self) -> Callable[[Q], bool]:
+        return frozenset(self.points).__contains__
 
 
 @dataclass(frozen=True)
@@ -118,8 +140,8 @@ class RationalsIn(SetExpr):
 
     iv: Interval
 
-    def contains(self, x: Q) -> bool:
-        return self.iv.contains(x)  # every queried x is rational
+    def tester(self) -> Callable[[Q], bool]:
+        return self.iv.tester()  # every queried x is rational
 
     def box(self) -> Interval:
         return self.iv
@@ -154,10 +176,9 @@ class CantorAffine(SetExpr):
     def to_base(self, x: Q) -> Q:
         return (x - self.offset) / self.scale
 
-    def contains(self, x: Q) -> bool:
-        if self.clip is not None and not self.clip.contains(x):
-            return False
-        return cantor_unit_info(self.to_base(x))[0]
+    def tester(self) -> Callable[[Q], bool]:
+        in_box, offset, scale = self.box().tester(), self.offset, self.scale
+        return lambda x: in_box(x) and cantor_unit_info((x - offset) / scale)[0]
 
 
 @dataclass(frozen=True)
@@ -174,11 +195,8 @@ class Sequence(SetExpr):
     def limit(self) -> Q:
         return self.term.limit
 
-    def contains(self, x: Q) -> bool:
-        head, tail = _seq_parts(self)
-        if x in head:
-            return True
-        return tail is not None and _seq_index(tail, x) is not None
+    def tester(self) -> Callable[[Q], bool]:
+        return _lazy(partial(_seq_tester, self))
 
     def box(self) -> Interval:
         """For a canonical tail: its first value and its limit."""
@@ -200,15 +218,8 @@ class IntervalFamily(SetExpr):
     hi_incl: bool
     start: int
 
-    def contains(self, x: Q) -> bool:
-        raw, tail, _ = _family_resolution(self)
-        if tail == self:
-            hit = _family_member_at(self, x)
-            return hit is not None and hit[1].contains(x)
-        for core, removals in raw:
-            if core.contains(x) and not any(r.contains(x) for r in removals):
-                return True
-        return tail is not None and tail.contains(x)
+    def tester(self) -> Callable[[Q], bool]:
+        return _lazy(partial(_family_tester, self))
 
     def box(self) -> Interval:
         """For a canonical tail: its first member and its limit."""
@@ -244,6 +255,39 @@ class Intersection(SetExpr):
 class Difference(SetExpr):
     left: SetExpr
     right: SetExpr
+
+
+def _never(x: Q) -> bool:
+    return False
+
+
+def _any_of(tests: list[Callable[[Q], bool]]) -> Callable[[Q], bool]:
+    """The union of the tests, tried in order."""
+    if len(tests) == 1:
+        return tests[0]
+
+    def test(x: Q) -> bool:
+        for t in tests:
+            if t(x):
+                return True
+        return False
+
+    return test
+
+
+def _lazy(build: Callable[[], Callable[[Q], bool]]) -> Callable[[Q], bool]:
+    """A test built on its first call.  Resolving a sequence or a family can
+    refuse; the refusal then surfaces on each point that reaches the atom,
+    and building the tester of a set that holds the atom never raises."""
+    test = None
+
+    def first(x: Q) -> bool:
+        nonlocal test
+        if test is None:
+            test = build()
+        return test(x)
+
+    return first
 
 
 # --- interval construction and algebra -------------------------------------
@@ -666,8 +710,34 @@ def _seq_index(tail: Sequence, x: Q) -> int | None:
     d = info.side * (x - tail.limit)
     if d <= 0 or d > info.first:
         return None
-    n = _monotone_first(info.dist, tail.start, d)
+    return _dist_index(info, tail.start, d)
+
+
+def _dist_index(info: SeqInfo, start: int, d: Q) -> int | None:
+    """Index n >= start with dist(n) == d, for 0 < d <= info.first, if any."""
+    n = _monotone_first(info.dist, start, d)
     return n if n is not None and info.dist.compare_at(n, d) == 0 else None
+
+
+def _seq_tester(seq: Sequence) -> Callable[[Q], bool]:
+    """Membership in the sequence: its head values, then the tail's index
+    search, which only points within the tail's distance range reach."""
+    head, tail = _seq_parts(seq)
+    info = _seq_info(tail.term, tail.start)
+    side, start = info.side, tail.start
+    ln, ld = tail.limit.numerator, tail.limit.denominator
+    fn, fd = info.first.numerator, info.first.denominator
+
+    def test(x: Q) -> bool:
+        if head and x in head:
+            return True
+        n, d = x.numerator, x.denominator
+        s = side * (n * ld - ln * d)  # the distance coordinate is s / (d*ld)
+        if s <= 0 or s * fd > fn * d * ld:
+            return False
+        return _dist_index(info, start, Q(s, d * ld)) is not None
+
+    return test
 
 
 def _seq_gap(tail: Sequence, x: Q) -> Q:
@@ -825,6 +895,23 @@ def family_tail_info(fam: IntervalFamily) -> FamilyTailInfo:
     return info
 
 
+def _family_tester(fam: IntervalFamily) -> Callable[[Q], bool]:
+    """Membership in the family: the one candidate member of a canonical
+    tail, or else the canonical pieces in order.  Only a canonical tail is
+    a piece of a normal form; any other family is tested from a tree walk,
+    which builds its tester for one point, so its pieces are only tested
+    as far as the first that holds the point."""
+    raw, tail, _ = _family_resolution(fam)
+    if tail == fam:
+        def test(x: Q) -> bool:
+            hit = _family_member_at(fam, x)
+            return hit is not None and hit[1].contains(x)
+
+        return test
+    in_tail = _never if tail is None else tail.tester()
+    return lambda x: any(piece_tester(Piece(c, r))(x) for c, r in raw) or in_tail(x)
+
+
 def _family_split(fam: IntervalFamily, x: Q) -> int | None:
     """First index of the canonical tail whose member lies wholly between x
     and the limit (its far edge nearer the limit than x); None when x is not
@@ -908,8 +995,13 @@ class Piece:
         return Difference(self.core, rem)
 
 
-def piece_contains(piece: Piece, x: Q) -> bool:
-    return piece.core.contains(x) and not any(r.contains(x) for r in piece.removals)
+def piece_tester(piece: Piece) -> Callable[[Q], bool]:
+    """Membership in the piece: in the core and in none of its removals."""
+    core = piece.core.tester()
+    if not piece.removals:
+        return core
+    removed = _any_of([r.tester() for r in piece.removals])
+    return lambda x: core(x) and not removed(x)
 
 
 @dataclass(frozen=True)
@@ -921,9 +1013,6 @@ class Normal:
             return EMPTY
         exprs = [p.to_expr() for p in self.pieces]
         return exprs[0] if len(exprs) == 1 else Union(exprs)
-
-    def contains(self, x: Q) -> bool:
-        return any(piece_contains(p, x) for p in self.pieces)
 
 
 def _piece_rank(piece: Piece) -> tuple:
@@ -956,7 +1045,8 @@ def _seq_clip(seq: Sequence, box: Interval) -> list[Piece]:
     stop = seq.start if cut is None else cut
     if stop - seq.start > MAX_MATERIALIZE:
         raise UnsupportedIntersection("sequence clip head too large")
-    pts = sorted(v for v in (seq.term.eval(n) for n in range(seq.start, stop)) if box.contains(v))
+    inside = box.tester()
+    pts = sorted(v for v in (seq.term.eval(n) for n in range(seq.start, stop)) if inside(v))
     out = [Piece(FinitePoints(tuple(pts)), ())] if pts else []
     if tail is not None:
         out.append(Piece(tail, ()))
@@ -972,7 +1062,8 @@ def _core_intersect(a: SetExpr, b: SetExpr) -> list[Piece]:
     if isinstance(b, FinitePoints):
         a, b = b, a
     if isinstance(a, FinitePoints):
-        kept = tuple(p for p in a.points if b.contains(p))
+        inside = b.tester()
+        kept = tuple(p for p in a.points if inside(p))
         return [Piece(FinitePoints(kept), ())] if kept else []
     if a.rank > b.rank:
         a, b = b, a
@@ -1044,19 +1135,16 @@ def _seq_shared_values(a: Sequence, b: Sequence) -> tuple[Q, ...]:
     eta = abs(la - lb) / 2
     window = Interval(la - eta, la + eta, True, True)
     shared: set[Q] = set()
+    in_a, in_b = a.tester(), b.tester()
     for piece in _seq_clip(b, window):
         if isinstance(piece.core, Sequence):
             raise AssertionError("a sequence tail cannot accumulate away from its limit")
-        for v in piece.core.points:
-            if a.contains(v):
-                shared.add(v)
+        shared.update(v for v in piece.core.points if in_a(v))
     for comp in iv_complement(window):
         for piece in _seq_clip(a, comp):
             if isinstance(piece.core, Sequence):
                 raise AssertionError("a sequence tail cannot accumulate away from its limit")
-            for v in piece.core.points:
-                if b.contains(v):
-                    shared.add(v)
+            shared.update(v for v in piece.core.points if in_b(v))
     return tuple(sorted(shared))
 
 
@@ -1088,7 +1176,8 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
     ta, tb = type(a), type(b)
 
     if ta is FinitePoints:
-        kept = tuple(p for p in a.points if not b.contains(p))
+        inside = b.tester()
+        kept = tuple(p for p in a.points if not inside(p))
         return [Piece(FinitePoints(kept), ())] if kept else []
     if tb is Interval:
         out = []
@@ -1152,7 +1241,8 @@ def _cut_thin(a: SetExpr, b: SetExpr) -> list[Piece]:
 
 
 def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
-    relevant = [p for p in pts if a.contains(p)]
+    inside = a.tester()
+    relevant = [p for p in pts if inside(p)]
     if not relevant:
         return [Piece(a, ())]
     ta = type(a)
@@ -1284,7 +1374,8 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
     fams: list[Piece] = []
 
     def add_points(xs, removals):
-        pts.update(x for x in xs if not any(r.contains(x) for r in removals))
+        removed = _any_of([r.tester() for r in removals])
+        pts.update(x for x in xs if not removed(x))
 
     work = list(pieces)
     while work:
@@ -1459,7 +1550,8 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
         + seq_out
         + out_fams
     )
-    final_pts = {x for x in pts if not any(piece_contains(p, x) for p in other_pieces)}
+    covered = _any_of([piece_tester(p) for p in other_pieces]) if pts else _never
+    final_pts = {x for x in pts if not covered(x)}
     if final_pts:
         solids = merge_intervals([_absorb_ends(s, final_pts) for s in solids])
         # a closed end can join two plain rational pieces: Q((0,1]) + Q((1,2))
@@ -1596,20 +1688,27 @@ def normalize(expr: SetExpr) -> SetExpr:
 
 
 def membership(expr: SetExpr) -> Callable[[Q], bool]:
-    """Exact membership test of expr on rationals, resolved once: the normal
-    form's, or a walk of the tree when the expression is refused."""
+    """Exact membership test of expr on rationals, resolved once: the
+    testers of the normal form's pieces, or a walk of the tree when the
+    expression is refused."""
     try:
-        return _normal(expr).contains
+        pieces = _normal(expr).pieces
     except UnsupportedIntersection:
         return partial(_tree_contains, expr)
+    return _any_of([piece_tester(p) for p in pieces])
 
 
 def contains(expr: SetExpr, x) -> bool:
-    """Exact membership; never raises, even for non-normalizable trees."""
+    """Exact membership.  A tree that does not normalize is tested node by
+    node, so a union can still answer; the test raises
+    UnsupportedIntersection only when the point reaches an atom that cannot
+    be resolved, such as a sequence whose head is too large to materialize."""
     return membership(expr)(Q(x))
 
 
 def _tree_contains(expr: SetExpr, x: Q) -> bool:
+    """Membership by the tree itself, without normalizing: the reference
+    that the normal form's membership agrees with."""
     if isinstance(expr, EmptySet):
         return False
     if isinstance(expr, Union):

@@ -224,8 +224,21 @@ def _roots_record(p: Poly) -> dict:
     return {"poly": [str(c) for c in p.coeffs], "roots": [_loc_text(loc) for loc in locs], "refined": refined}
 
 
+def _golden_polys() -> list[Poly]:
+    frozen = json.loads(ROOTS_GOLDEN.read_text(encoding="utf-8"))
+    return [Poly.make(Q(c) for c in rec["poly"]) for rec in frozen]
+
+
 def golden_roots() -> list[dict]:
-    polys = [p for p in _reached_polys() + _random_polys() if _small_coefficients(p)]
+    """The committed polynomials in their committed order, then the reached
+    and random ones that are not among them yet: a polynomial that the
+    corpus stops reaching keeps its record."""
+    polys = _golden_polys() if ROOTS_GOLDEN.exists() else []
+    known = {p.coeffs for p in polys}
+    for p in _reached_polys() + _random_polys():
+        if p.coeffs not in known and _small_coefficients(p):
+            known.add(p.coeffs)
+            polys.append(p)
     return [_roots_record(p) for p in polys]
 
 
@@ -235,6 +248,25 @@ def test_golden_roots():
     for rec in frozen:
         p = Poly.make(Q(c) for c in rec["poly"])
         assert _roots_record(p) == rec
+
+
+def _horner(coeffs, x: Q) -> Q:
+    acc = Q(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_call_agrees_with_fraction_horner():
+    # __call__ runs the integer kernel on coefficients over their common
+    # denominator; the reference runs Horner's rule on the Fractions
+    polys = _golden_polys() + [Poly(()), Poly.const(0), Poly.const(5), Poly.const(Q(-7, 3))]
+    xs = [Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(10**12 + 1)]
+    xs += [Q(-5, 2**40), Q(-(10**9) - 7, 3**25), Q(123456789, 10**18 + 9), Q(-1, 7**30), Q(2**61 - 1, 2**62)]
+    for p in polys:
+        for x in xs:
+            assert p(x) == _horner(p.coeffs, x), (p, x)
+    assert Poly.make([Q(1, 2), Q(-3, 4)])(2) == Q(-1)  # an int point
 
 
 if __name__ == "__main__":
