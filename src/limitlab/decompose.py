@@ -9,6 +9,15 @@ nonincreasing so the largest one serves as the certified window radius of
 the decomposition.  Each band's exceptional set is clipped to its window
 region by region, so a union of regions that cannot be normalized as a
 whole does not block a decomposition whose clipped parts can.
+
+g is L on the union of the clipped parts and f elsewhere, so f - g is
+p_i - L on region i's clipped parts and 0 elsewhere: h is built from those
+(part, p_i - L) pairs directly, with no function arithmetic, and g + h = f
+holds at every point by construction.
+
+`verify_decomposition` has three outcomes: True, False for a decomposition
+shown wrong, and a raised UnsupportedIntersection when the set algebra
+cannot decide one of the properties.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from fractions import Fraction
 
 from .analyzers import cardinality, trace_measure
 from .errors import PrerequisiteNotMet, UnsupportedIntersection
-from .functions import PiecewiseFn, fn_evaluator, fn_sub, nonzero_set, punctured_window
+from .functions import PiecewiseFn, effective_regions, fn_evaluator, nonzero_set, punctured_window
 from .limits import LimitType, _bands, _region_germs, _status, check
 from .poly import Poly
 from .sets import EmptySet, Intersection, SetExpr, Union, normalize, window_trace
@@ -39,7 +48,8 @@ def decompose(f: PiecewiseFn, a, L, t: LimitType) -> Decomposition:
     """Split f = g + h realizing a type-t limit L at a.
 
     g equals L on the union of the banded exceptional sets and follows f
-    elsewhere; h is the difference, supported near a on a t-small set.
+    elsewhere; h is p - L on each region's part of that union and 0
+    elsewhere, supported near a on a t-small set.
     """
     a, L = Q(a), Q(L)
     if t not in (LimitType.T5, LimitType.T6):
@@ -53,22 +63,24 @@ def decompose(f: PiecewiseFn, a, L, t: LimitType) -> Decomposition:
 
     # walk the bands in decreasing eps with window radii forced nonincreasing,
     # so the first (largest) radius bounds every later one; each region's
-    # part is clipped on its own
+    # part is clipped on its own, and a band yields its parts in the order
+    # of the effective regions
     delta0 = running = bands[-1][1]
-    parts = []
+    offsets = [p - Poly.const(L) for _, p in effective_regions(f)]
+    h_branches = []
     for _, delta, band in reversed(bands):
         running = min(running, delta)
         window = punctured_window(a, running)
-        for part in band:
+        for part, offset in zip(band, offsets):
             clipped = normalize(Intersection((part, window)))
             if not isinstance(clipped, EmptySet):
-                parts.append(clipped)
-    union = normalize(Union(tuple(parts)))
-    if parts:
+                h_branches.append((clipped, offset))
+    union = normalize(Union(tuple(part for part, _ in h_branches)))
+    if h_branches:
         g = PiecewiseFn(f.domain, ((union, Poly.const(L)),) + f.branches, f.default)
     else:
         g = f
-    h = fn_sub(f, g)
+    h = PiecewiseFn(f.domain, tuple(h_branches), Poly.const(0))
     return Decomposition(g, h, delta0, union)
 
 
@@ -77,20 +89,24 @@ def verify_decomposition(d: Decomposition, f: PiecewiseFn, a, L, t: LimitType, p
 
     (i) g + h reproduces f on sampled domain points, (ii) g has a classical
     limit L at a, (iii) the window trace of {h != 0} at the certified radius
-    is countable (T5) or has measure zero (T6).
+    is countable (T5) or has measure zero (T6).  True when all three hold,
+    False when one is shown to fail; when the set algebra cannot decide (ii)
+    or (iii), UnsupportedIntersection is raised with the reason, so that a
+    refusal is never reported as a wrong decomposition.
     """
     a, L = Q(a), Q(L)
     eval_g, eval_h, eval_f = fn_evaluator(d.g), fn_evaluator(d.h), fn_evaluator(f)
     for x in sample_points(f.domain, count=probes, seed=seed, center=a, spread=max(d.delta0, 1)):
         if eval_g(x) + eval_h(x) != eval_f(x):
             return False
-    if _status(_region_germs(d.g, a, LimitType.T1), L) != "pass":
+    germs = _region_germs(d.g, a, LimitType.T1)
+    status = _status(germs, L)
+    if status == "undecidable":
+        reason = next(small for value, small in germs if value != L and small is not True)
+        raise UnsupportedIntersection(f"classical limit of g: {reason}")
+    if status != "pass":
         return False
-    try:
-        support = nonzero_set(d.h)
-        trace = window_trace(support.outer, a, d.delta0)
-    except UnsupportedIntersection:
-        return False
+    trace = window_trace(nonzero_set(d.h).outer, a, d.delta0)
     if t is LimitType.T5:
         return cardinality(trace).kind in ("empty", "finite", "countably_infinite")
     m = trace_measure(trace)

@@ -103,9 +103,6 @@ class Poly:
             return Poly(())
         return Poly(tuple(c * k for c in self.coeffs))
 
-    def derivative(self) -> "Poly":
-        return Poly.make(c * i for i, c in enumerate(self.coeffs) if i >= 1)
-
     def to_text(self, var: str = "x") -> str:
         if self.is_zero():
             return "0"

@@ -65,6 +65,22 @@ def test_decompose(capsys):
     assert "verified: True" in capsys.readouterr().out
 
 
+def test_decompose_refused_by_the_verifier(capsys):
+    # the decomposition is built, but whether g has the classical limit needs
+    # a Cantor image minus rationals: a typed refusal, not "verified: False"
+    code = run(
+        [
+            "--format", "structured", "decompose",
+            "--fn", "piecewise { 1/3 on cantor(0, 1); 7/3 on Q((0, 2]); else -1 }",
+            "--at=-1/3", "--value=-1", "--type", "t5",
+        ]
+    )
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert json.loads(out)["error"] == "UnsupportedIntersection"
+    assert "Traceback" not in out + err
+
+
 def test_estimate_deterministic(capsys):
     args = ["estimate", "--set", "[0,1]", "--at", "1/2", "--radius", "1/2", "--seed", "5", "--samples", "2000"]
     assert run(args) == EXIT_OK

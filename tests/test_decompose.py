@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from limitlab.decompose import Decomposition, decompose, verify_decomposition
+from limitlab.dsl import parse_fn
 from limitlab.errors import PrerequisiteNotMet, UnsupportedIntersection
 from limitlab.functions import PiecewiseFn, fn_add, fn_eval, indicator_fn
 from limitlab.limits import LimitType, check, classify
@@ -108,17 +109,53 @@ def test_region_parts_decompose_where_the_global_carrier_is_refused():
 
 
 def test_delta0_is_the_largest_eps_witness():
+    # every decomposition of the corpus and its mirror images is built: none
+    # is refused by the set algebra
     done = 0
     for f, a in corpus(11, 60):
-        rep = classify(f, a)
-        for t in (T5, T6):
-            out = rep.outcomes[t]
-            if out.exists != "yes":
-                continue
-            try:
-                d = decompose(f, a, out.value, t)
-            except UnsupportedIntersection:
-                continue  # refused by the set algebra
-            assert d.delta0 == max(check(f, a, out.value, t).witness)[1]
-            done += 1
-    assert done > 0
+        for g, b in ((f, a), (mirror_fn(f), -a)):
+            rep = classify(g, b)
+            for t in (T5, T6):
+                out = rep.outcomes[t]
+                if out.exists != "yes":
+                    continue
+                d = decompose(g, b, out.value, t)
+                assert d.delta0 == max(check(g, b, out.value, t).witness)[1]
+                done += 1
+    assert done == 218
+
+
+def test_sum_reproduces_f_at_the_probe_points():
+    # h is built from the band parts, not as f - g, so the pointwise identity
+    # holds by construction at every probe point verify_decomposition uses;
+    # on the two named functions f - g went through a normal form that drops
+    # a sequence's removals, and g + h missed f
+    rng = random.Random(8181)
+    cases = []
+    for t in (T5, T6):
+        for _ in range(15):
+            a = rng.choice(CORPUS_POINTS)
+            f, L = certified_fn(rng, a, t is T6)
+            cases.append((f, a, L, t))
+    cases += [
+        (parse_fn("piecewise { -1 - x on seq(-1/2 + 2*(1/2)^n, 2); -11/4 on Q((-11/4, 1/4]); else -3/8 + 3/2*x }"),
+         Q(0), Q(-3, 8), T5),
+        (parse_fn("piecewise { -1/2 - 7/8*x on seq(3/n^2, 3); -2 + 2/3*x on Q([-7/4, 1/4]); else -1/2 }"),
+         Q(1, 2), Q(-1, 2), T5),
+    ]
+    for f, a, L, t in cases:
+        d = decompose(f, a, L, t)
+        for x in sample_points(f.domain, count=1000, seed=7, center=a, spread=max(d.delta0, 1)):
+            assert fn_eval(d.g, x) + fn_eval(d.h, x) == fn_eval(f, x), (f, a, L, t, x)
+
+
+def test_undecidable_classical_limit_of_g_is_a_refusal():
+    # g's regions take the exceptional union, a set of rationals, out of
+    # cantor(0, 1); the set algebra refuses a Cantor image minus rationals,
+    # and the verifier says so instead of rejecting the decomposition
+    f = parse_fn("piecewise { 1/3 on cantor(0, 1); 7/3 on Q((0, 2]); else -1 }")
+    a = Q(-1, 3)
+    assert classify(f, a).outcomes[T5].value == -1
+    d = decompose(f, a, -1, T5)
+    with pytest.raises(UnsupportedIntersection, match="classical limit of g"):
+        verify_decomposition(d, f, a, -1, T5)

@@ -249,7 +249,10 @@ def test_membership_agrees_with_the_tree(monkeypatch, dirichlet, cantor_indicato
     # membership(e) compiles the testers of e's normal form; _tree_contains
     # tests e node by node without normalizing
     fixtures = (dirichlet, cantor_indicator, omega_indicator, identity_fn)
-    exprs = _sets_normalized_by_the_fixtures(monkeypatch, fixtures) + _corpus_sets()
+    # the set of test_removed_cantor_point_is_not_contained shows the known
+    # defect of the normal form
+    removed_cantor_point = parse_set("cantor(-1/2,-1) & ([-1,1/8) \\ cantor(-3/4,1/2))")
+    exprs = _sets_normalized_by_the_fixtures(monkeypatch, fixtures) + _corpus_sets() + [removed_cantor_point]
     rng = random.Random(29)
     exprs += [rand_set_expr(rng, 3) for _ in range(400)]
     checked, defective = 0, set()
@@ -277,7 +280,7 @@ def test_membership_agrees_with_the_tree(monkeypatch, dirichlet, cantor_indicato
                 assert (got, want) == (True, False) and all(isinstance(c, CantorAffine) for c in holders), (e, x)
                 defective.add(e)
     assert checked > 25000
-    assert len(defective) == 2  # both from the Cantor fixture's decomposition
+    assert defective == {removed_cantor_point}
 
 
 def test_contains_refuses_only_where_a_point_reaches_the_refused_atom():
