@@ -39,13 +39,9 @@ from .sets import (
     COUNTABLE_KINDS,
     NULL_KINDS,
     Intersection,
-    Interval,
-    IntervalFamily,
-    Piece,
     SetExpr,
     Union,
     _normal,
-    family_tail_info,
     normalize,
     piece_reaches,
     vanish_radius,
@@ -108,20 +104,11 @@ def candidates(f: PiecewiseFn, a) -> tuple[Q, ...]:
 _SMALL_KINDS = {LimitType.T5: COUNTABLE_KINDS, LimitType.T6: NULL_KINDS}
 
 
-def _piece_kind(piece: Piece, a: Q) -> str:
-    """Kind of the piece's germ at a: a family tail reaches any point other
-    than its limit through one member, like an interval."""
-    core = piece.core
-    if isinstance(core, IntervalFamily) and family_tail_info(core).limit != a:
-        return Interval.kind
-    return core.kind
-
-
 def _reaching_kinds(expr: SetExpr, a: Q) -> set[str]:
     kinds = set()
     for piece in _normal(expr).pieces:
         if piece_reaches(piece, a):
-            kinds.add(_piece_kind(piece, a))
+            kinds.add(piece.core.germ_kind(a))
     return kinds
 
 
@@ -140,9 +127,7 @@ def _witness_delta(expr: SetExpr, a: Q, t: LimitType) -> Q | None:
     if t is LimitType.T2:
         return Q(1)
     allowed = _SMALL_KINDS.get(t, frozenset())
-    blockers = tuple(
-        p for p in _normal(expr).pieces if _piece_kind(p, a) not in allowed
-    )
+    blockers = tuple(p for p in _normal(expr).pieces if p.core.germ_kind(a) not in allowed)
     return vanish_radius(blockers, a)
 
 

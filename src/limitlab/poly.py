@@ -286,13 +286,6 @@ def count_roots(p: Poly, lo: Q, hi: Q) -> int:
     return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, hi.numerator, hi.denominator)
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of p, each member scaled by a positive rational."""
-    if p.is_zero():
-        return [p]
-    return [Poly.make(c) for c in _sturm(_int_form(p))]
-
-
 RootLocation = Union[Q, tuple[Q, Q]]
 
 

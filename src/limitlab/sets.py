@@ -12,6 +12,16 @@ atom, optionally minus a list of measure-zero removal atoms; co-countable
 sets such as the irrationals in a window are therefore representable, which
 the limit engine needs to certify failure verdicts.
 
+Every atom carries its own facts, so no other module asks an atom for its
+class: `kind` and `rank` (its germ kind and its place in a normal form),
+box() (the closed interval it lies in; every atom but FinitePoints),
+tester() (exact membership), reaches(a) (does it meet every punctured window
+around a), distance_floor(a) (a positive lower bound on its distance from a,
+a itself left out, when it does not reach a), germ_kind(a) (the kind of its
+germ at a) and candidates(rng, center, spread, want) (rational points to
+sample it from).  reaches, distance_floor and germ_kind are asked of the
+atoms of a normal form, whose tails are canonical.
+
 Membership is resolved once per set: every atom's tester() is an exact
 point test with what depends on the atom alone worked out up front (interval
 ends as integers compared by cross-multiplication, a sequence's head and
@@ -31,6 +41,7 @@ are always built from the real atom.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,13 +60,18 @@ _CANTOR_DFS_DEPTH = 400
 class SetExpr:
     """Base class: any atom or boolean combination node.
 
-    Every atom has tester(): its exact membership test on rationals, with
-    what depends on the atom alone resolved once for all the points the
-    test is called on.
+    Every atom has the protocol of the module docstring: kind, rank, box(),
+    tester(), reaches(a), distance_floor(a), germ_kind(a) and
+    candidates(rng, center, spread, want).  tester() is its exact membership
+    test on rationals, with what depends on the atom alone resolved once for
+    all the points the test is called on.
     """
 
     def contains(self, x: Q) -> bool:
         return self.tester()(x)
+
+    def germ_kind(self, a: Q) -> str:
+        return self.kind
 
     def __or__(self, other):
         return Union((self, other))
@@ -76,8 +92,33 @@ class EmptySet(SetExpr):
 EMPTY = EmptySet()
 
 
+class _BoxAtom(SetExpr):
+    """An interval or the rationals in one: its germ facts are box()'s."""
+
+    def reaches(self, a: Q) -> bool:
+        return _iv_distance(self.box(), a) == 0  # boxes are nondegenerate
+
+    def distance_floor(self, a: Q) -> Q:
+        return _iv_distance(self.box(), a)
+
+    def candidates(self, rng: random.Random, center: Q, spread: Q, want: int) -> list[Q]:
+        # an unbounded side is cut at center -/+ spread, or spread beyond the
+        # bounded end when that end lies past the cut
+        box = self.box()
+        lo, hi = box.lo, box.hi
+        if lo is None:
+            lo = center - spread if hi is None or center - spread < hi else hi - spread
+        if hi is None:
+            hi = center + spread if center + spread > lo else lo + spread
+        width, out = hi - lo, []
+        for _ in range(want):
+            den = rng.choice((64, 128, 256, 1024, 4096))
+            out.append(lo + width * Q(rng.randrange(1, den), den))
+        return out
+
+
 @dataclass(frozen=True)
-class Interval(SetExpr):
+class Interval(_BoxAtom):
     """lo/hi None mean unbounded; unbounded ends are always open.
 
     Construct through interval(): degenerate inputs normalize to
@@ -132,9 +173,19 @@ class FinitePoints(SetExpr):
     def tester(self) -> Callable[[Q], bool]:
         return frozenset(self.points).__contains__
 
+    def reaches(self, a: Q) -> bool:
+        return False
+
+    def distance_floor(self, a: Q) -> Q:
+        ds = [abs(p - a) for p in self.points if p != a]
+        return min(ds) if ds else Q(1)
+
+    def candidates(self, rng: random.Random, center: Q, spread: Q, want: int) -> list[Q]:
+        return list(self.points)
+
 
 @dataclass(frozen=True)
-class RationalsIn(SetExpr):
+class RationalsIn(_BoxAtom):
     kind = "rationals"
     rank = 2
 
@@ -180,6 +231,62 @@ class CantorAffine(SetExpr):
         in_box, offset, scale = self.box().tester(), self.offset, self.scale
         return lambda x: in_box(x) and cantor_unit_info((x - offset) / scale)[0]
 
+    def reaches(self, a: Q) -> bool:
+        member, accL, accR = cantor_unit_info(self.to_base(a))[:3]
+        if not member:
+            return False
+        if self.scale < 0:
+            accL, accR = accR, accL
+        clip = self.box()
+        right_room = clip.hi is None or clip.hi > a
+        left_room = clip.lo is None or clip.lo < a
+        if not clip.contains(a):
+            # a on or outside the clip boundary: approach only from inside
+            if clip.lo is not None and a <= clip.lo:
+                return accR and right_room and (a == clip.lo)
+            if clip.hi is not None and a >= clip.hi:
+                return accL and left_room and (a == clip.hi)
+            return False
+        return (accR and right_room) or (accL and left_room)
+
+    def distance_floor(self, a: Q) -> Q:
+        """May undershoot, never overshoots."""
+        u = self.to_base(a)
+        member, _, _, gap = cantor_unit_info(u)
+        bounds = []
+        if not member and gap is not None:
+            g_lo, g_hi = gap
+            side = []
+            if g_lo is not None:
+                side.append(u - g_lo)
+            if g_hi is not None:
+                side.append(g_hi - u)
+            if side:
+                bounds.append(min(side) * abs(self.scale))
+        d = _iv_distance(self.box(), a)
+        if d > 0:
+            bounds.append(d)
+        if bounds:
+            return max(bounds)
+        # a is a member (or clip-boundary member) that the clip isolates:
+        # probe shrinking windows until the window misses the set
+        delta = Q(1)
+        for _ in range(200):
+            win_lo = Interval(a - delta, a, False, False)
+            win_hi = Interval(a, a + delta, False, False)
+            if not cantor_meets_interval(self, win_lo) and not cantor_meets_interval(self, win_hi):
+                return delta
+            delta /= 2
+        raise UnsupportedIntersection("could not separate point from Cantor piece")
+
+    def candidates(self, rng: random.Random, center: Q, spread: Q, want: int) -> list[Q]:
+        out = []
+        for _ in range(want):
+            digits = [rng.choice((0, 2)) for _ in range(rng.randrange(2, 16))]
+            v = sum(Q(d, 3 ** (i + 1)) for i, d in enumerate(digits))
+            out.append(self.offset + self.scale * v)
+        return out
+
 
 @dataclass(frozen=True)
 class Sequence(SetExpr):
@@ -203,6 +310,28 @@ class Sequence(SetExpr):
         first = self.term.eval(self.start)
         return Interval(min(self.limit, first), max(self.limit, first), True, True)
 
+    def reaches(self, a: Q) -> bool:
+        return self.limit == a
+
+    def distance_floor(self, a: Q) -> Q:
+        """For a canonical tail: the distance from a, which is not the
+        limit, to the other values."""
+        info = _seq_info(self.term, self.start)
+        d = info.side * (a - self.limit)
+        if d < 0:
+            return -d
+        n = _monotone_first(info.dist, self.start, d)  # first value not beyond a
+        below = info.dist.eval(n)
+        if below == d:  # a is a member: the next value is its lower neighbour
+            below = info.dist.eval(n + 1)
+        gaps = [d - below]
+        if n > self.start:
+            gaps.append(info.dist.eval(n - 1) - d)
+        return min(gaps)
+
+    def candidates(self, rng: random.Random, center: Q, spread: Q, want: int) -> list[Q]:
+        return [self.term.eval(self.start + rng.randrange(0, 64)) for _ in range(want)]
+
 
 @dataclass(frozen=True)
 class IntervalFamily(SetExpr):
@@ -225,6 +354,39 @@ class IntervalFamily(SetExpr):
         """For a canonical tail: its first member and its limit."""
         limit = family_tail_info(self).limit
         return _iv_hull(_member_interval(self, self.start), Interval(limit, limit, True, True))
+
+    # reaches, distance_floor, germ_kind and candidates: for a canonical tail
+
+    def reaches(self, a: Q) -> bool:
+        return family_tail_info(self).limit == a or _family_member_at(self, a) is not None
+
+    def distance_floor(self, a: Q) -> Q:
+        # a lies outside every member's closure: the nearest members are the
+        # last one beyond a and the first one between a and the limit
+        n = _family_split(self, a)
+        if n is None:
+            return abs(a - family_tail_info(self).limit)
+        return min(_iv_distance(_member_interval(self, k), a) for k in (n - 1, n) if k >= self.start)
+
+    def germ_kind(self, a: Q) -> str:
+        """Away from its limit the tail reaches a point through one member,
+        like an interval."""
+        return self.kind if family_tail_info(self).limit == a else Interval.kind
+
+    def candidates(self, rng: random.Random, center: Q, spread: Q, want: int) -> list[Q]:
+        info = family_tail_info(self)
+        out = []
+        for _ in range(want):
+            n = self.start + rng.randrange(0, 64)
+            width = self.hi.eval(n) - self.lo.eval(n)
+            if width <= 0:
+                continue
+            # the point of member n that lies u of its width in from its
+            # edge nearer the limit, in distance coordinates
+            u = Q(rng.randrange(1, 16), 16)
+            d = info.far.eval(n) - width * (1 - u)
+            out.append(info.limit + info.side * d)
+        return out
 
 
 # The germ facts that depend on an atom's kind alone: which kinds are
@@ -565,59 +727,6 @@ def _clip_cantor(atom: CantorAffine, iv: Interval) -> SetExpr:
     return points(*pts) if pts else EMPTY
 
 
-def cantor_accumulates_at(atom: CantorAffine, a: Q) -> bool:
-    """Every punctured window around a meets the clipped atom."""
-    u = atom.to_base(a)
-    member, accL, accR = cantor_unit_info(u)[:3]
-    if not member:
-        return False
-    if atom.scale < 0:
-        accL, accR = accR, accL
-    clip = atom.box()
-    right_room = clip.hi is None or clip.hi > a
-    left_room = clip.lo is None or clip.lo < a
-    if not clip.contains(a):
-        # a on or outside the clip boundary: approach only from inside
-        if clip.lo is not None and a <= clip.lo:
-            return accR and right_room and (a == clip.lo)
-        if clip.hi is not None and a >= clip.hi:
-            return accL and left_room and (a == clip.hi)
-        return False
-    return (accR and right_room) or (accL and left_room)
-
-
-def _cantor_distance_floor(atom: CantorAffine, a: Q) -> Q:
-    """A positive lower bound on dist(a, atom) when the atom does not
-    accumulate at a and a is not in it; may undershoot, never overshoots."""
-    u = atom.to_base(a)
-    member, _, _, gap = cantor_unit_info(u)
-    bounds = []
-    if not member and gap is not None:
-        g_lo, g_hi = gap
-        side = []
-        if g_lo is not None:
-            side.append(u - g_lo)
-        if g_hi is not None:
-            side.append(g_hi - u)
-        if side:
-            bounds.append(min(side) * abs(atom.scale))
-    d = _iv_distance(atom.box(), a)
-    if d > 0:
-        bounds.append(d)
-    if bounds:
-        return max(bounds)
-    # a is a member (or clip-boundary member) that the clip isolates:
-    # probe shrinking windows until the window misses the set
-    delta = Q(1)
-    for _ in range(200):
-        win_lo = Interval(a - delta, a, False, False)
-        win_hi = Interval(a, a + delta, False, False)
-        if not cantor_meets_interval(atom, win_lo) and not cantor_meets_interval(atom, win_hi):
-            return delta
-        delta /= 2
-    raise UnsupportedIntersection("could not separate point from Cantor piece")
-
-
 # --- sequence canonicalization ----------------------------------------------
 
 
@@ -738,23 +847,6 @@ def _seq_tester(seq: Sequence) -> Callable[[Q], bool]:
         return _dist_index(info, start, Q(s, d * ld)) is not None
 
     return test
-
-
-def _seq_gap(tail: Sequence, x: Q) -> Q:
-    """Distance from x, which is not the limit, to the other values of the
-    canonical tail."""
-    info = _seq_info(tail.term, tail.start)
-    d = info.side * (x - tail.limit)
-    if d < 0:
-        return -d
-    n = _monotone_first(info.dist, tail.start, d)  # first value not beyond x
-    below = info.dist.eval(n)
-    if below == d:  # x is a member: the next value is its lower neighbour
-        below = info.dist.eval(n + 1)
-    gaps = [d - below]
-    if n > tail.start:
-        gaps.append(info.dist.eval(n - 1) - d)
-    return min(gaps)
 
 
 # --- interval family canonicalization ---------------------------------------
@@ -1774,53 +1866,13 @@ def piece_reaches(piece: Piece, a: Q) -> bool:
     removal blocks accumulation only where one removed member covers a whole
     neighborhood of a.
     """
-    core = piece.core
-    if _removed_around(piece, a) is not None:
-        return False
-    if isinstance(core, Interval):
-        return _iv_distance(core, a) == 0  # intervals are nondegenerate
-    if isinstance(core, FinitePoints):
-        return False
-    if isinstance(core, RationalsIn):
-        return _iv_distance(core.iv, a) == 0
-    if isinstance(core, CantorAffine):
-        return cantor_accumulates_at(core, a)
-    if isinstance(core, Sequence):
-        return core.term.limit == a
-    if isinstance(core, IntervalFamily):
-        return family_tail_info(core).limit == a or _family_member_at(core, a) is not None
-    raise AssertionError
+    return _removed_around(piece, a) is None and piece.core.reaches(a)
 
 
 def piece_distance_floor(piece: Piece, a: Q) -> Q:
     """Positive lower bound on dist(a, piece minus {a}) for non-reaching pieces."""
-    core = piece.core
     hole = _removed_around(piece, a)
-    if hole is not None:
-        return hole
-    if isinstance(core, Interval):
-        d = _iv_distance(core, a)
-        assert d > 0
-        return d
-    if isinstance(core, FinitePoints):
-        ds = [abs(p - a) for p in core.points if p != a]
-        return min(ds) if ds else Q(1)
-    if isinstance(core, RationalsIn):
-        d = _iv_distance(core.iv, a)
-        assert d > 0
-        return d
-    if isinstance(core, CantorAffine):
-        return _cantor_distance_floor(core, a)
-    if isinstance(core, Sequence):
-        return _seq_gap(core, a)
-    if isinstance(core, IntervalFamily):
-        # a lies outside every member's closure: the nearest members are the
-        # last one beyond a and the first one between a and the limit
-        n = _family_split(core, a)
-        if n is None:
-            return abs(a - family_tail_info(core).limit)
-        return min(_iv_distance(_member_interval(core, k), a) for k in (n - 1, n) if k >= core.start)
-    raise AssertionError
+    return piece.core.distance_floor(a) if hole is None else hole
 
 
 def vanish_radius(pieces: tuple[Piece, ...], a: Q) -> Q | None:

@@ -210,3 +210,20 @@ def test_sample_points_respect_membership(omega_set):
     assert len(pts) >= 20
     for x in pts:
         assert contains(omega_set, x)
+
+
+@pytest.mark.parametrize(
+    "expr, lo, hi",
+    [
+        (interval(5, None), Q(5), Q(7)),
+        (interval(None, -5), Q(-7), Q(-5)),
+        (rationals_in(interval(7, None)), Q(7), Q(9)),
+    ],
+)
+def test_half_unbounded_pieces_away_from_the_center_are_sampled(expr, lo, hi):
+    # the piece misses [center - spread, center + spread] = [-2, 2]: its
+    # points are drawn within spread of its bounded end
+    pts = sample_points(expr, 5)
+    assert len(pts) == 5
+    for x in pts:
+        assert contains(expr, x) and lo <= x <= hi

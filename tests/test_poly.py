@@ -11,7 +11,7 @@ from limitlab import functions, poly
 from limitlab.decompose import decompose
 from limitlab.errors import LimitLabError
 from limitlab.limits import LimitType, classify
-from limitlab.poly import Poly, count_roots, isolate_roots, refine_root, sturm_chain
+from limitlab.poly import Poly, count_roots, isolate_roots, refine_root
 
 from conftest import corpus
 

@@ -35,6 +35,8 @@ from limitlab.sets import (
     membership,
     normalize,
     open_interval,
+    piece_distance_floor,
+    piece_reaches,
     piece_tester,
     points,
     rationals_in,
@@ -43,7 +45,7 @@ from limitlab.sets import (
 )
 from limitlab.terms import Term
 
-from conftest import corpus, rand_set_expr, sample_rats
+from conftest import corpus, mirror, rand_set_expr, sample_rats
 
 
 def test_interval_clipping_example():
@@ -380,6 +382,82 @@ def test_family_tail_beside_unbounded_solid_touching_its_limit(tail, solid):
     probes += [s * x for s in (1, -1) for n in range(1, 40) for x in (Q(1, n), Q(1, n) - Q(1, 2**n), Q(1, n) - Q(1, 2 ** (n + 1)))]
     for x in probes:
         assert contains(e, x) == (contains(fam, x) or contains(box, x)), x
+
+
+# --- an atom's reach and distance floor against its window trace -------------------
+
+_GERM_ATOMS = [
+    "[0, 1]",
+    "(0, 1)",
+    "[1/2, inf)",
+    "(-inf, -1)",
+    "points(0, 1/3, 1)",
+    "Q([-1, 1/2))",
+    "Q((1/4, inf))",
+    "cantor(0, 1)",
+    "cantor(1/2, -1/2)",
+    "cantor(0, 1) & [2/9, 7/9]",
+    "cantor(0, 1) & (1/3, 1]",
+    "cantor(0, 1) & [0, 2/3]",
+    "seq(1/n)",
+    "seq(1/2 + (1/3)^n, 2)",
+    "family(1/n - (1/2)^n, 1/n)",
+    "family(1/2 + 1/n - (1/3)^n, 1/2 + 1/n)",
+    "[-1, 1] \\ family(1/n - (1/2)^n, 1/n)",
+    "(0, 2) \\ Q((0, 1))",
+]
+
+
+def _germ_pieces():
+    exprs = [parse_set(text) for text in _GERM_ATOMS]
+    exprs += [mirror(e) for e in exprs]
+    rng = random.Random(37)
+    exprs += [rand_set_expr(rng, 2) for _ in range(40)]
+    pieces = []
+    for e in exprs:
+        try:
+            pieces.extend(sets._normal(e).pieces)
+        except UnsupportedIntersection:
+            continue
+    return list(dict.fromkeys(pieces))
+
+
+def _trace_or_none(expr, a, radius):
+    try:
+        return window_trace(expr, a, radius).all_pieces()
+    except UnsupportedIntersection:
+        return None
+
+
+def test_reach_and_distance_floor_agree_with_the_window_trace():
+    # a piece that does not reach a misses the punctured window of radius
+    # distance_floor(a); a piece that reaches a meets every window of radius
+    # 2^-k, down to below the width of a removed family member
+    rng = random.Random(41)
+    reached = floored = 0
+    for piece in _germ_pieces():
+        atoms = (piece.core, *piece.removals)
+        probes = [x for atom in atoms for x in _atom_probes(atom)]
+        # points inside the first members of family tails
+        probes += [
+            (f.lo.eval(n) + f.hi.eval(n)) / 2
+            for f in atoms
+            if isinstance(f, IntervalFamily)
+            for n in range(f.start, f.start + 6)
+        ]
+        probes += [Q(0), Q(1, 2), Q(-1, 3), Q(3, 4), Q(-3, 4)] + sample_rats(rng, 4, -2, 2)
+        expr = piece.to_expr()
+        for a in dict.fromkeys(probes):
+            if piece_reaches(piece, a):
+                traces = [_trace_or_none(expr, a, Q(1, 2**k)) for k in range(1, 25, 3)]
+                assert all(tr != () for tr in traces), (piece, a)
+                reached += 1
+            else:
+                floor = piece_distance_floor(piece, a)
+                assert floor > 0, (piece, a)
+                assert _trace_or_none(expr, a, floor) in ((), None), (piece, a, floor)
+                floored += 1
+    assert reached > 100 and floored > 1000
 
 
 # --- points on the ends of solids and of clipped Cantor pieces ----------------------
