@@ -22,10 +22,10 @@ from .sets import (
     LocalTrace,
     Piece,
     SetExpr,
-    _family_member_at,
     _normal,
-    family_tail_info,
+    member_at,
     piece_reaches,
+    tail_info,
 )
 from .terms import Term
 
@@ -224,7 +224,7 @@ def tail_density_class(fam: IntervalFamily) -> tuple[str, Q | None]:
     disjoint tail at its own accumulation point, by dominant-decay analysis
     of member widths against member positions."""
     width = fam.hi - fam.lo
-    position = family_tail_info(fam).far  # distance of the far edge from the limit
+    position = tail_info(fam).far  # distance of the far edge from the limit
     wk, wkey, wc = _dominant(width)
     pk, pkey, _ = _dominant(position)
     pos_sum = _abs_coeff_sum(position)
@@ -294,7 +294,7 @@ def density_at(expr: SetExpr, a) -> DensityVerdict:
             for r in piece.removals:
                 if not isinstance(r, IntervalFamily):
                     continue
-                r_info = family_tail_info(r)
+                r_info = tail_info(r)
                 if r_info.limit != a:
                     continue
                 cls, _lb = tail_density_class(r)
@@ -305,16 +305,16 @@ def density_at(expr: SetExpr, a) -> DensityVerdict:
                 unknown_side = True
             full |= covered
         elif isinstance(core, IntervalFamily):
-            info = family_tail_info(core)
+            info = tail_info(core)
             if info.limit == a:
                 cls, lb = tail_density_class(core)
                 if cls == "positive":
                     has_positive = True
                     positive_lb += lb
                 continue
-            hit = _family_member_at(core, a)
-            if hit is not None:
-                full |= _covered_sides(hit[1], a)
+            m = member_at(core, info, a)
+            if m is not None:
+                full |= _covered_sides(core.member(m), a)
 
     base = Q(len(full), 2)
     if has_positive:

@@ -15,6 +15,7 @@
     POLY     := ["-"] p_atom { ("+" | "-") p_atom }
     p_atom   := RAT ["*" "x" ["^" INT]] | "x" ["^" INT]
     fn       := "piecewise" "{" { POLY "on" set ";" } "else" POLY "}"
+    BOOL     := "0" | "1"
 
 "#" starts a line comment.  Intersections of a Cantor atom with an interval
 fold into a clipped atom at parse time, so printing any engine value and
@@ -159,6 +160,12 @@ class _Parser:
         tok = self.expect("num")
         v = int(tok.text)
         return -v if neg else v
+
+    def parse_bool(self) -> bool:
+        tok = self.peek()
+        if tok.kind != "num" or tok.text not in ("0", "1"):
+            self.fail(f"expected a flag 0 or 1, found {tok.text or 'end of input'!r}")
+        return self.next().text == "1"
 
     def parse_rational(self) -> Q:
         neg = False
@@ -368,9 +375,9 @@ class _Parser:
                     start = self.parse_int()
                     if self.peek().kind == ",":
                         self.next()
-                        lo_incl = bool(self.parse_int())
+                        lo_incl = self.parse_bool()
                         self.expect(",")
-                        hi_incl = bool(self.parse_int())
+                        hi_incl = self.parse_bool()
                 self.expect(")")
                 return family(lo, hi, lo_incl, hi_incl, start)
             raise UnknownAtom(f"unknown set constructor {name!r} at line {tok.line}, column {tok.col}")

@@ -38,7 +38,8 @@ from .sets import (
 
 Q = Fraction
 
-DEFAULT_ROOT_WIDTH = Q(1, 2**20)
+# Every irrational root is enclosed in an interval this wide.
+ROOT_WIDTH = Q(1, 2**20)
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def effective_regions(f: PiecewiseFn) -> tuple[tuple[SetExpr, Poly], ...]:
 # --- polynomial sign regions ----------------------------------------------------
 
 
-def _sign_regions(q: Poly, width: Q) -> tuple[list[SetExpr], list[SetExpr], Q]:
+def _sign_regions(q: Poly) -> tuple[list[SetExpr], list[SetExpr], Q]:
     """(inner, outer, gap) interval pieces of {x : q(x) >= 0}."""
     if q.is_zero():
         return [FULL_LINE], [FULL_LINE], Q(0)
@@ -132,7 +133,7 @@ def _sign_regions(q: Poly, width: Q) -> tuple[list[SetExpr], list[SetExpr], Q]:
         if isinstance(loc, Q):
             bounds.append((loc, loc, loc, loc, loc))
         else:
-            lo, hi = refine_root(q, loc[0], loc[1], width)
+            lo, hi = refine_root(q, loc[0], loc[1], ROOT_WIDTH)
             bounds.append((hi, lo, lo, hi, None))
             gap += 2 * (hi - lo)
     # bounds[i] = (right-safe start, left-safe end, generous start, generous end)
@@ -166,7 +167,7 @@ def _sign_regions(q: Poly, width: Q) -> tuple[list[SetExpr], list[SetExpr], Q]:
     return inner, outer, gap
 
 
-def isolate_superlevel(p: Poly, L, eps, width: Q = DEFAULT_ROOT_WIDTH) -> SandwichSet:
+def isolate_superlevel(p: Poly, L, eps) -> SandwichSet:
     """Sandwich of {x : |p(x) - L| >= eps}."""
     L, eps = Q(L), Q(eps)
     if eps <= 0:
@@ -177,8 +178,8 @@ def isolate_superlevel(p: Poly, L, eps, width: Q = DEFAULT_ROOT_WIDTH) -> Sandwi
         return SandwichSet(e, e, Q(0))
     upper = p - Poly.const(L + eps)  # p - L >= eps
     lower = Poly.const(L - eps) - p  # p - L <= -eps
-    in1, out1, g1 = _sign_regions(upper, width)
-    in2, out2, g2 = _sign_regions(lower, width)
+    in1, out1, g1 = _sign_regions(upper)
+    in2, out2, g2 = _sign_regions(lower)
     inner = normalize(Union(tuple(in1 + in2))) if (in1 or in2) else EMPTY
     outer = normalize(Union(tuple(out1 + out2))) if (out1 or out2) else EMPTY
     return SandwichSet(inner, outer, g1 + g2)
@@ -189,9 +190,7 @@ def punctured_window(a, delta) -> SetExpr:
     return Union((Interval(a - delta, a, False, False), Interval(a, a + delta, False, False)))
 
 
-def superlevel_sandwich(
-    f: PiecewiseFn, L: Q, eps: Q, window: SetExpr | None = None, width: Q = DEFAULT_ROOT_WIDTH
-) -> SandwichSet:
+def superlevel_sandwich(f: PiecewiseFn, L: Q, eps: Q, window: SetExpr | None = None) -> SandwichSet:
     """Sandwich of {x in domain : |f(x) - L| >= eps}, clipped to the window
     when one is given."""
     clip = () if window is None else (window,)
@@ -199,7 +198,7 @@ def superlevel_sandwich(
     outer_parts = []
     gap = Q(0)
     for region, p in effective_regions(f):
-        sl = isolate_superlevel(p, L, eps, width)
+        sl = isolate_superlevel(p, L, eps)
         if isinstance(sl.outer, EmptySet):
             continue
         if not isinstance(sl.inner, EmptySet):
@@ -211,15 +210,15 @@ def superlevel_sandwich(
     return SandwichSet(inner, outer, gap)
 
 
-def exceptional_set(f: PiecewiseFn, a, L, delta, eps, width: Q = DEFAULT_ROOT_WIDTH) -> SandwichSet:
+def exceptional_set(f: PiecewiseFn, a, L, delta, eps) -> SandwichSet:
     """Sandwich of {x in punctured window ∩ domain : |f(x) - L| >= eps}."""
     a, L, delta, eps = Q(a), Q(L), Q(delta), Q(eps)
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
-    return superlevel_sandwich(f, L, eps, punctured_window(a, delta), width)
+    return superlevel_sandwich(f, L, eps, punctured_window(a, delta))
 
 
-def nonzero_set(f: PiecewiseFn, width: Q = DEFAULT_ROOT_WIDTH) -> SandwichSet:
+def nonzero_set(f: PiecewiseFn) -> SandwichSet:
     """Sandwich of {x in domain : f(x) != 0}."""
     inner_parts = []
     outer_parts = []
@@ -236,7 +235,7 @@ def nonzero_set(f: PiecewiseFn, width: Q = DEFAULT_ROOT_WIDTH) -> SandwichSet:
             if isinstance(loc, Q):
                 cut_inner = Difference(cut_inner, points(loc))
             else:
-                lo, hi = refine_root(p, loc[0], loc[1], width)
+                lo, hi = refine_root(p, loc[0], loc[1], ROOT_WIDTH)
                 cut_inner = Difference(cut_inner, interval(lo, hi))
                 gap += hi - lo
         inner_parts.append(cut_inner)

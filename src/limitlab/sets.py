@@ -24,26 +24,28 @@ atoms of a normal form, whose tails are canonical.
 
 Membership is resolved once per set: every atom's tester() is an exact
 point test with what depends on the atom alone worked out up front (interval
-ends as integers compared by cross-multiplication, a sequence's head and
-distance range, a family tail's resolution), and membership(expr) joins the
+ends as integers compared by cross-multiplication, a sequence's or family's
+head, canonical tail and distance range), and membership(expr) joins the
 testers of the normal form's pieces into one.  A lookup that can refuse runs
 on the first point that reaches its atom.
 
-Sequence and family tails pile up at their limit L from one side s (+1 from
-the right, -1 from the left).  The side is decided once, when the tail is
-canonicalized, and cached with a strictly decreasing distance term: s*(t - L)
-for a sequence t, and s*(e - L) for the far edge e of a family member (the
-edge away from the limit).  Every search, member lookup, split and distance
-floor compares a point x by its distance coordinate d = s*(x - L) against
-that term, so both sides share one code path; members and shortened tails
-are always built from the real atom.
+A sequence is an interval family whose members are single closed points,
+so both kinds share one tail layer.  _resolve splits either, once, into a
+head of pieces and a canonical tail, whose members are strictly monotone,
+pairwise disjoint, and approach the limit L from one side s (+1 from the
+right, -1 from the left).  The tail's TailInfo holds L, s and the strictly
+decreasing distance terms s*(e - L) of each member's near and far edges e.
+One clip (_tail_clip), one member lookup (member_at) and one distance floor
+compare a point x by its distance coordinate d = s*(x - L) against those
+terms, for both kinds and both sides; members and shortened tails are
+always built from the real atom.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -288,8 +290,34 @@ class CantorAffine(SetExpr):
         return out
 
 
+class _Tail(SetExpr):
+    """A sequence or an interval family.  Its canonical tail (see _resolve) is
+    a strictly monotone run of members that approach one limit from one side,
+    and a sequence is the family whose members are single closed points.
+    box(), reaches, distance_floor, germ_kind and candidates are asked of
+    canonical tails."""
+
+    def tester(self) -> Callable[[Q], bool]:
+        return _lazy(partial(_tail_tester, self))
+
+    def distance_floor(self, a: Q) -> Q:
+        """The distance from a, which the tail does not reach, to the nearest
+        member; a itself, when it is a sequence value, is left out."""
+        info = tail_info(self)
+        d = info.dist(a)
+        if d <= 0:
+            return -d
+        n = _monotone_first(info.far, self.start, d, strict=True)  # first member wholly nearer the limit
+        nearer = d - info.far.eval(n)
+        for k in (n - 1, n - 2):  # the nearest member beyond a
+            beyond = info.near.eval(k) - d if k >= self.start else 0
+            if beyond > 0:
+                return min(nearer, beyond)
+        return nearer
+
+
 @dataclass(frozen=True)
-class Sequence(SetExpr):
+class Sequence(_Tail):
     """{term(n) : n >= start}; the term is non-constant."""
 
     kind = "sequence"
@@ -302,39 +330,23 @@ class Sequence(SetExpr):
     def limit(self) -> Q:
         return self.term.limit
 
-    def tester(self) -> Callable[[Q], bool]:
-        return _lazy(partial(_seq_tester, self))
+    def member(self, n: int) -> SetExpr:
+        return FinitePoints((self.term.eval(n),))
 
     def box(self) -> Interval:
-        """For a canonical tail: its first value and its limit."""
+        """Its first value and its limit."""
         first = self.term.eval(self.start)
         return Interval(min(self.limit, first), max(self.limit, first), True, True)
 
     def reaches(self, a: Q) -> bool:
         return self.limit == a
 
-    def distance_floor(self, a: Q) -> Q:
-        """For a canonical tail: the distance from a, which is not the
-        limit, to the other values."""
-        info = _seq_info(self.term, self.start)
-        d = info.side * (a - self.limit)
-        if d < 0:
-            return -d
-        n = _monotone_first(info.dist, self.start, d)  # first value not beyond a
-        below = info.dist.eval(n)
-        if below == d:  # a is a member: the next value is its lower neighbour
-            below = info.dist.eval(n + 1)
-        gaps = [d - below]
-        if n > self.start:
-            gaps.append(info.dist.eval(n - 1) - d)
-        return min(gaps)
-
     def candidates(self, rng: random.Random, center: Q, spread: Q, want: int) -> list[Q]:
         return [self.term.eval(self.start + rng.randrange(0, 64)) for _ in range(want)]
 
 
 @dataclass(frozen=True)
-class IntervalFamily(SetExpr):
+class IntervalFamily(_Tail):
     """Union over n >= start of the intervals [lo(n), hi(n)] (flags chosen
     by lo_incl/hi_incl).  Requires lo(n) <= hi(n) for every index."""
 
@@ -347,34 +359,28 @@ class IntervalFamily(SetExpr):
     hi_incl: bool
     start: int
 
-    def tester(self) -> Callable[[Q], bool]:
-        return _lazy(partial(_family_tester, self))
+    @property
+    def limit(self) -> Q:
+        """For a canonical tail, where both edge terms share it."""
+        return self.lo.limit
+
+    def member(self, n: int) -> SetExpr:
+        return interval(self.lo.eval(n), self.hi.eval(n), self.lo_incl, self.hi_incl)
 
     def box(self) -> Interval:
-        """For a canonical tail: its first member and its limit."""
-        limit = family_tail_info(self).limit
-        return _iv_hull(_member_interval(self, self.start), Interval(limit, limit, True, True))
-
-    # reaches, distance_floor, germ_kind and candidates: for a canonical tail
+        """Its first member and its limit."""
+        return _iv_hull(self.member(self.start), Interval(self.limit, self.limit, True, True))
 
     def reaches(self, a: Q) -> bool:
-        return family_tail_info(self).limit == a or _family_member_at(self, a) is not None
-
-    def distance_floor(self, a: Q) -> Q:
-        # a lies outside every member's closure: the nearest members are the
-        # last one beyond a and the first one between a and the limit
-        n = _family_split(self, a)
-        if n is None:
-            return abs(a - family_tail_info(self).limit)
-        return min(_iv_distance(_member_interval(self, k), a) for k in (n - 1, n) if k >= self.start)
+        return self.limit == a or member_at(self, tail_info(self), a) is not None
 
     def germ_kind(self, a: Q) -> str:
         """Away from its limit the tail reaches a point through one member,
         like an interval."""
-        return self.kind if family_tail_info(self).limit == a else Interval.kind
+        return self.kind if self.limit == a else Interval.kind
 
     def candidates(self, rng: random.Random, center: Q, spread: Q, want: int) -> list[Q]:
-        info = family_tail_info(self)
+        info = tail_info(self)
         out = []
         for _ in range(want):
             n = self.start + rng.randrange(0, 64)
@@ -727,7 +733,7 @@ def _clip_cantor(atom: CantorAffine, iv: Interval) -> SetExpr:
     return points(*pts) if pts else EMPTY
 
 
-# --- sequence canonicalization ----------------------------------------------
+# --- sequence and family tails ---------------------------------------------
 
 
 def sequence(term: Term, start: int = 1) -> SetExpr:
@@ -736,120 +742,6 @@ def sequence(term: Term, start: int = 1) -> SetExpr:
     if term.is_constant():
         return points(term.const)
     return Sequence(term, start)
-
-
-@dataclass(frozen=True)
-class SeqInfo:
-    tail_start: int
-    side: int  # sign of term(n) - limit on the tail
-    dist: Term  # side * (term - limit): positive, strictly decreasing on the tail
-    first: Q  # an upper bound on dist(tail_start), the largest distance on the tail
-
-
-@lru_cache(maxsize=None)
-def _seq_info(term: Term, start: int) -> SeqInfo:
-    dev = term - Term.constant(term.limit)
-    side, n_side = dev.eventual_sign()
-    step = term - term.shifted()
-    s_step, n_step = step.eventual_sign()
-    assert side != 0 and s_step != 0
-    tail_start, dist = max(start, n_side, n_step), dev.scale(side)
-    return SeqInfo(tail_start, side, dist, dist.eval_bounds(tail_start)[1])
-
-
-@lru_cache(maxsize=None)
-def _seq_parts(seq: Sequence) -> tuple[tuple[Q, ...], Sequence | None]:
-    """(head values below the canonical tail start, canonical tail)."""
-    info = _seq_info(seq.term, seq.start)
-    if info.tail_start - seq.start > MAX_MATERIALIZE:
-        raise UnsupportedIntersection("sequence head too large to materialize")
-    head = []
-    tail = Sequence(seq.term, info.tail_start)
-    for n in range(seq.start, info.tail_start):
-        v = seq.term.eval(n)
-        if _seq_index(tail, v) is None and v not in head:
-            head.append(v)
-    return tuple(sorted(head)), tail
-
-
-def _monotone_first(term: Term, start: int, x: Q, strict: bool = False) -> int | None:
-    """First n >= start with term(n) <= x (term(n) < x when strict), for a
-    term strictly decreasing on n >= start; None when there is none."""
-    bound = 0 if strict else 1  # compare_at is -1, 0 or 1
-    if term.compare_at(start, x) < bound:
-        return start
-    if term.limit >= x:
-        return None
-    span = 1
-    lo = start
-    while True:
-        hi = start + span
-        if term.compare_at(hi, x) < bound:
-            break
-        lo = hi
-        span *= 2
-        if span > 1 << 62:
-            return None
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if term.compare_at(mid, x) < bound:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _dist_edges(box: Interval, limit: Q, side: int):
-    """The box's (near, far) edges in distance coordinates d = side*(x - limit):
-    each a (d, included) pair, or None for an unbounded end."""
-    lo = None if box.lo is None else (side * (box.lo - limit), box.lo_incl)
-    hi = None if box.hi is None else (side * (box.hi - limit), box.hi_incl)
-    return (lo, hi) if side > 0 else (hi, lo)
-
-
-def _holds_limit_side(near, far) -> bool:
-    """Do a box's distance-coordinate edges enclose points arbitrarily close
-    to the limit on the tail's side?"""
-    return (near is None or near[0] <= 0) and (far is None or far[0] > 0)
-
-
-def _seq_index(tail: Sequence, x: Q) -> int | None:
-    """Index n of the canonical tail with term(n) == x, if any."""
-    info = _seq_info(tail.term, tail.start)
-    d = info.side * (x - tail.limit)
-    if d <= 0 or d > info.first:
-        return None
-    return _dist_index(info, tail.start, d)
-
-
-def _dist_index(info: SeqInfo, start: int, d: Q) -> int | None:
-    """Index n >= start with dist(n) == d, for 0 < d <= info.first, if any."""
-    n = _monotone_first(info.dist, start, d)
-    return n if n is not None and info.dist.compare_at(n, d) == 0 else None
-
-
-def _seq_tester(seq: Sequence) -> Callable[[Q], bool]:
-    """Membership in the sequence: its head values, then the tail's index
-    search, which only points within the tail's distance range reach."""
-    head, tail = _seq_parts(seq)
-    info = _seq_info(tail.term, tail.start)
-    side, start = info.side, tail.start
-    ln, ld = tail.limit.numerator, tail.limit.denominator
-    fn, fd = info.first.numerator, info.first.denominator
-
-    def test(x: Q) -> bool:
-        if head and x in head:
-            return True
-        n, d = x.numerator, x.denominator
-        s = side * (n * ld - ln * d)  # the distance coordinate is s / (d*ld)
-        if s <= 0 or s * fd > fn * d * ld:
-            return False
-        return _dist_index(info, start, Q(s, d * ld)) is not None
-
-    return test
-
-
-# --- interval family canonicalization ---------------------------------------
 
 
 def family(lo: Term, hi: Term, lo_incl: bool = True, hi_incl: bool = False, start: int = 1) -> SetExpr:
@@ -872,33 +764,54 @@ def family(lo: Term, hi: Term, lo_incl: bool = True, hi_incl: bool = False, star
 
 
 @dataclass(frozen=True)
-class FamilyTailInfo:
+class TailInfo:
+    """The shape of a canonical tail, whatever its start.  Its members lie
+    on side s of the limit (+1 right, -1 left).  near and far are the terms
+    s*(e - limit) of each member's edge e nearer to and away from the limit,
+    both positive and strictly decreasing, and far_incl says whether members
+    hold their far edge.  A sequence's near and far are both its distance
+    term, and its far_incl is True."""
+
     limit: Q
-    side: int  # +1: members right of the limit; -1: left
-    far: Term  # side * (far edge - limit): positive, strictly decreasing
-    far_incl: bool  # whether members include their far edge
+    side: int
+    near: Term
+    far: Term
+    far_incl: bool
 
-
-def _member_interval(fam: IntervalFamily, n: int) -> SetExpr:
-    return interval(fam.lo.eval(n), fam.hi.eval(n), fam.lo_incl, fam.hi_incl)
-
-
-def _family_head(fam: IntervalFamily, stop: int) -> list[SetExpr]:
-    """The nonempty members with index start <= n < stop."""
-    if stop - fam.start > MAX_MATERIALIZE:
-        raise UnsupportedIntersection("family head too large to materialize")
-    members = (_member_interval(fam, n) for n in range(fam.start, stop))
-    return [m for m in members if not isinstance(m, EmptySet)]
+    def dist(self, x: Q) -> Q:
+        """x in distance coordinates: how far beyond the limit on the tail's side."""
+        return self.side * (x - self.limit)
 
 
 @lru_cache(maxsize=None)
-def _family_resolution(fam: IntervalFamily):
-    """Canonicalize: (pieces, tail_atom, tail_info).
+def _resolve(atom: _Tail) -> tuple[tuple, _Tail | None, TailInfo | None]:
+    """(head, tail, info) of a sequence or family: head is the pieces that
+    come before the canonical tail, and tail (None when the members chain
+    into an interval) is the same atom from the index on which its members
+    are strictly monotone and pairwise disjoint, with its TailInfo."""
+    return _seq_resolution(atom) if isinstance(atom, Sequence) else _family_resolution(atom)
 
-    pieces are (core, removals) pairs for the materialized/collapsed part;
-    tail_atom (with its FamilyTailInfo) is a family whose members are
-    pairwise disjoint, strictly monotone, and sit on one side of the limit.
-    """
+
+def tail_info(tail: _Tail) -> TailInfo:
+    """The TailInfo of a canonical tail."""
+    return _resolve(tail)[2]
+
+
+def _seq_resolution(seq: Sequence):
+    dist = seq.term - Term.constant(seq.limit)
+    side, n_side = dist.eventual_sign()
+    s_step, n_step = (seq.term - seq.term.shifted()).eventual_sign()
+    assert side != 0 and s_step != 0
+    dist = dist.scale(side)
+    info = TailInfo(seq.limit, side, dist, dist, True)
+    tail = Sequence(seq.term, max(seq.start, n_side, n_step))
+    # the head's values that the tail does not take again
+    vals = [v for m in _members(seq, tail.start) for v in m.points if member_at(tail, info, v) is None]
+    head = () if not vals else (Piece(points(*vals), ()),)
+    return head, tail, info
+
+
+def _family_resolution(fam: IntervalFamily):
     lo, hi = fam.lo, fam.hi
     if lo.limit != hi.limit:
         # distinct endpoint limits: members eventually overlap, collapse
@@ -923,9 +836,9 @@ def _family_resolution(fam: IntervalFamily):
     n_w = (hi - lo).eventual_sign()[1]
     if s_d > 0:
         n_star = max(fam.start, n_lo, n_hi, n_d, n_w)
-        pieces = tuple((m, ()) for m in _family_head(fam, n_star))
+        head = tuple(Piece(m, ()) for m in _members(fam, n_star))
         tail = IntervalFamily(lo, hi, fam.lo_incl, fam.hi_incl, n_star)
-        return pieces, tail, FamilyTailInfo(limit, side, far_d, far_incl)
+        return head, tail, TailInfo(limit, side, near_d, far_d, far_incl)
     # touching (s_d == 0) or overlapping members chain into an interval
     return _family_collapse(fam, max(n_lo, n_hi, n_d, n_w), side)
 
@@ -962,7 +875,7 @@ def _family_collapse(fam: IntervalFamily, n_hint: int, side: int):
     else:  # hi increasing toward its limit: supremum never attained
         b_hi, b_hi_incl = l_hi, False
 
-    pieces = []
+    head = []
     collapsed = interval(b_lo, b_hi, b_lo_incl, b_hi_incl)
     holes = None
     if not fam.lo_incl and not fam.hi_incl:
@@ -973,91 +886,120 @@ def _family_collapse(fam: IntervalFamily, n_hint: int, side: int):
             holes = sequence(near, n_star)  # near(n) == far(n+1) at every index
     if isinstance(collapsed, (Interval, FinitePoints)):
         removals = (holes,) if isinstance(holes, Sequence) else ()
-        pieces.append((collapsed, removals))
-    pieces.extend((m, ()) for m in _family_head(fam, n_star))
-    return tuple(pieces), None, None
+        head.append(Piece(collapsed, removals))
+    head.extend(Piece(m, ()) for m in _members(fam, n_star))
+    return tuple(head), None, None
 
 
-@lru_cache(maxsize=None)
-def family_tail_info(fam: IntervalFamily) -> FamilyTailInfo:
-    """Tail metadata for an already-canonical family atom."""
-    _, tail, info = _family_resolution(fam)
-    if tail != fam:
-        raise AssertionError("family_tail_info requires a canonical tail atom")
-    return info
+def _members(tail: _Tail, stop: int) -> list[SetExpr]:
+    """The nonempty members with index start <= n < stop; a sequence's
+    values come as one point set."""
+    if stop - tail.start > MAX_MATERIALIZE:
+        raise UnsupportedIntersection(f"{tail.kind} head too large to materialize")
+    if stop <= tail.start:
+        return []
+    if isinstance(tail, Sequence):
+        return [points(*(tail.term.eval(n) for n in range(tail.start, stop)))]
+    members = (tail.member(n) for n in range(tail.start, stop))
+    return [m for m in members if not isinstance(m, EmptySet)]
 
 
-def _family_tester(fam: IntervalFamily) -> Callable[[Q], bool]:
-    """Membership in the family: the one candidate member of a canonical
-    tail, or else the canonical pieces in order.  Only a canonical tail is
-    a piece of a normal form; any other family is tested from a tree walk,
-    which builds its tester for one point, so its pieces are only tested
-    as far as the first that holds the point."""
-    raw, tail, _ = _family_resolution(fam)
-    if tail == fam:
-        def test(x: Q) -> bool:
-            hit = _family_member_at(fam, x)
-            return hit is not None and hit[1].contains(x)
+def _monotone_first(term: Term, start: int, x: Q, strict: bool = False) -> int:
+    """First n >= start with term(n) <= x (term(n) < x when strict), for a
+    term strictly decreasing on n >= start to a limit below x."""
+    bound = 0 if strict else 1  # compare_at is -1, 0 or 1
+    if term.compare_at(start, x) < bound:
+        return start
+    span = 1
+    lo = start
+    while True:
+        hi = start + span
+        if term.compare_at(hi, x) < bound:
+            break
+        lo = hi
+        span *= 2
+        if span > 1 << 62:
+            raise UnsupportedIntersection("tail index search passed 2^62")
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if term.compare_at(mid, x) < bound:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
-        return test
-    in_tail = _never if tail is None else tail.tester()
-    return lambda x: any(piece_tester(Piece(c, r))(x) for c, r in raw) or in_tail(x)
 
-
-def _family_split(fam: IntervalFamily, x: Q) -> int | None:
-    """First index of the canonical tail whose member lies wholly between x
-    and the limit (its far edge nearer the limit than x); None when x is not
-    past the limit on the tail's side."""
-    info = family_tail_info(fam)
-    d = info.side * (x - info.limit)
+def member_at(tail: _Tail, info: TailInfo, x: Q) -> int | None:
+    """Index of the member of a canonical tail (with its TailInfo) whose
+    closure holds x, if any.  Members are strictly separated, so it can only
+    be the last member whose far edge is not nearer the limit than x."""
+    d = info.dist(x)
     if d <= 0:
         return None
-    return _monotone_first(info.far, fam.start, d, strict=True)
-
-
-def _family_member_at(fam: IntervalFamily, x: Q) -> tuple[int, Interval] | None:
-    """(index, member) of the canonical-tail member whose closure holds x.
-
-    Members are strictly separated, so at most one closure holds a point:
-    the last member whose far edge is not nearer the limit than x.
-    """
-    n = _family_split(fam, x)
-    if n is None or n == fam.start:
+    n = _monotone_first(info.far, tail.start, d, strict=True)
+    if n == tail.start or info.near.compare_at(n - 1, d) > 0:
         return None
-    member = _member_interval(fam, n - 1)
-    return (n - 1, member) if _iv_distance(member, x) == 0 else None
+    return n - 1
 
 
-def _family_clip(fam: IntervalFamily, box: Interval) -> list["Piece"]:
-    """Pieces of (canonical tail) ∩ box."""
-    info = family_tail_info(fam)
-    if _iv_covers(box, fam.box()):
-        return [Piece(fam, ())]
-    near, far = _dist_edges(box, info.limit, info.side)
-    # Members live strictly beyond the limit; a box that stays at or before
-    # it cannot meet the tail.
+def _tail_tester(atom: _Tail) -> Callable[[Q], bool]:
+    """Membership in a sequence or family: the pieces of its head, tested
+    in turn (a tree walk builds this test for one point), then the member
+    lookup of its canonical tail, which only points within the tail's
+    distance range reach."""
+    head, tail, info = _resolve(atom)
+
+    def in_head(x: Q) -> bool:
+        return any(piece_tester(h)(x) for h in head)
+
+    if tail is None:
+        return in_head
+    side, ln, ld = info.side, info.limit.numerator, info.limit.denominator
+    first = info.far.eval_bounds(tail.start)[1]  # no member lies farther out
+    fn, fd = first.numerator, first.denominator
+
+    def test(x: Q) -> bool:
+        if head and in_head(x):
+            return True
+        n, d = x.numerator, x.denominator
+        s = side * (n * ld - ln * d)  # the distance coordinate is s / (d*ld)
+        if s <= 0 or s * fd > fn * d * ld:
+            return False
+        m = member_at(tail, info, x)
+        return m is not None and tail.member(m).contains(x)
+
+    return test
+
+
+def _dist_edges(box: Interval, info: TailInfo):
+    """The box's (near, far) edges in the tail's distance coordinates: each
+    a (d, included) pair, or None for an unbounded end."""
+    lo = None if box.lo is None else (info.dist(box.lo), box.lo_incl)
+    hi = None if box.hi is None else (info.dist(box.hi), box.hi_incl)
+    return (lo, hi) if info.side > 0 else (hi, lo)
+
+
+def _tail_clip(tail: _Tail, box: Interval) -> list[Piece]:
+    """Pieces of a canonical tail intersected with box.
+
+    In distance coordinates the box runs from its near edge to its far
+    edge.  When it holds the limit side, the tail goes on from the first
+    member wholly within the far edge; when it sits away from the limit,
+    no member wholly nearer the limit than its near edge meets it.  The
+    members before that cut are clipped to the box one by one."""
+    info = tail_info(tail)
+    near, far = _dist_edges(box, info)
     if far is not None and far[0] <= 0:
-        return []
-    tail = None
-    if _holds_limit_side(near, far):
-        # the tail survives from the first member fully inside the box
-        if far is None:
-            cut = fam.start
-        else:
-            cut = _monotone_first(info.far, fam.start, far[0], strict=not far[1] and info.far_incl)
-        if cut is None:
-            raise UnsupportedIntersection("family clip could not locate the window edge")
-        tail = IntervalFamily(fam.lo, fam.hi, fam.lo_incl, fam.hi_incl, cut)
+        return []  # the box stays at or before the limit, where no member is
+    rest = None
+    if near is None or near[0] <= 0:
+        cut = tail.start if far is None else _monotone_first(info.far, tail.start, far[0], info.far_incl and not far[1])
+        rest = replace(tail, start=cut)
     else:
-        # the box sits away from the accumulation point: finitely many members
-        cut = _monotone_first(info.far, fam.start, near[0])
-        if cut is None:
-            cut = fam.start
-    out: list[Piece] = []
-    for m in _family_head(fam, cut):
-        out.extend(_core_intersect(m, box))
-    if tail is not None:
-        out.append(Piece(tail, ()))
+        cut = _monotone_first(info.far, tail.start, near[0], strict=True)
+    out = [q for m in _members(tail, cut) for q in _core_intersect(m, box)]
+    if rest is not None:
+        out.append(Piece(rest, ()))
     return out
 
 
@@ -1122,29 +1064,6 @@ def _piece_rank(piece: Piece) -> tuple:
 # --- piece-level intersections -----------------------------------------------
 
 
-def _seq_clip(seq: Sequence, box: Interval) -> list[Piece]:
-    """Pieces of the canonical sequence tail intersected with box."""
-    info = _seq_info(seq.term, seq.start)
-    near, far = _dist_edges(box, seq.limit, info.side)
-    tail = None
-    if _holds_limit_side(near, far):
-        # tail eventually inside: keep symbolically from the first member
-        # within the far edge
-        cut = None if far is None else _monotone_first(info.dist, seq.start, far[0], strict=not far[1])
-        tail = Sequence(seq.term, seq.start if cut is None else cut)
-    else:
-        cut = None if near is None else _monotone_first(info.dist, seq.start, near[0], strict=True)
-    stop = seq.start if cut is None else cut
-    if stop - seq.start > MAX_MATERIALIZE:
-        raise UnsupportedIntersection("sequence clip head too large")
-    inside = box.tester()
-    pts = sorted(v for v in (seq.term.eval(n) for n in range(seq.start, stop)) if inside(v))
-    out = [Piece(FinitePoints(tuple(pts)), ())] if pts else []
-    if tail is not None:
-        out.append(Piece(tail, ()))
-    return out
-
-
 def _core_intersect(a: SetExpr, b: SetExpr) -> list[Piece]:
     """Pieces of a ∩ b for core atoms a, b."""
     if isinstance(a, EmptySet) or isinstance(b, EmptySet):
@@ -1170,14 +1089,12 @@ def _core_intersect(a: SetExpr, b: SetExpr) -> list[Piece]:
         if tb is CantorAffine:
             r = _clip_cantor(b, a)
             return [] if isinstance(r, EmptySet) else [Piece(r, ())]
-        if tb is Sequence:
-            return _seq_clip(b, a)
-        return _family_clip(b, a)
+        return _tail_clip(b, a)
     if ta is RationalsIn:
         if tb is CantorAffine:
             raise UnsupportedIntersection("rationals ∩ Cantor image is outside the algebra")
         if tb is Sequence:
-            return _seq_clip(b, a.iv)  # sequence values are rational
+            return _tail_clip(b, a.iv)  # sequence values are rational
         return _finite_meet(b, a, "rationals ∩ family tail is outside the algebra")
     if ta is CantorAffine:
         if tb is CantorAffine:
@@ -1193,11 +1110,10 @@ def _core_intersect(a: SetExpr, b: SetExpr) -> list[Piece]:
                 return [Piece(Sequence(a.term, max(a.start, b.start)), ())]
             vals = _seq_shared_values(a, b)
             return [Piece(FinitePoints(vals), ())] if vals else []
-        if a.limit == family_tail_info(b).limit:
+        if a.limit == b.limit:
             raise UnsupportedIntersection("sequence and family share an accumulation point")
         return _finite_meet(a, b, "sequence tail does not reduce to finitely many values here")
-    ia, ib = family_tail_info(a), family_tail_info(b)
-    if ia.limit == ib.limit and ia.side == ib.side:
+    if a.limit == b.limit and tail_info(a).side == tail_info(b).side:
         raise UnsupportedIntersection("two family tails share an accumulation side")
     return _finite_meet(a, b, "family tails interleave; not reducible")
 
@@ -1228,12 +1144,12 @@ def _seq_shared_values(a: Sequence, b: Sequence) -> tuple[Q, ...]:
     window = Interval(la - eta, la + eta, True, True)
     shared: set[Q] = set()
     in_a, in_b = a.tester(), b.tester()
-    for piece in _seq_clip(b, window):
+    for piece in _tail_clip(b, window):
         if isinstance(piece.core, Sequence):
             raise AssertionError("a sequence tail cannot accumulate away from its limit")
         shared.update(v for v in piece.core.points if in_a(v))
     for comp in iv_complement(window):
-        for piece in _seq_clip(a, comp):
+        for piece in _tail_clip(a, comp):
             if isinstance(piece.core, Sequence):
                 raise AssertionError("a sequence tail cannot accumulate away from its limit")
             shared.update(v for v in piece.core.points if in_b(v))
@@ -1310,10 +1226,10 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
             return [Piece(a, ())]
         raise UnsupportedIntersection("difference with a sequence is outside the algebra")
     if tb is IntervalFamily:
-        raw, tail, _ = _family_resolution(b)
+        head, tail, _ = _resolve(b)
         pieces = [Piece(a, ())]
-        for core, removals in raw:
-            pieces = [q for p in pieces for q in _piece_subtract(p, Piece(core, removals))]
+        for h in head:
+            pieces = [q for p in pieces for q in _piece_subtract(p, h)]
         if tail is not None:
             pieces = [q for p in pieces for q in _piece_subtract_family_tail(p, tail)]
         return pieces
@@ -1337,59 +1253,27 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
     relevant = [p for p in pts if inside(p)]
     if not relevant:
         return [Piece(a, ())]
-    ta = type(a)
-    if ta in (Interval, FinitePoints, RationalsIn, CantorAffine):
-        # each point splits every piece holding it along the two open
-        # half-lines at the point
-        pieces = [a]
-        for p in sorted(relevant):
-            nxt = []
-            for c in pieces:
-                if not c.contains(p):
-                    nxt.append(c)
-                    continue
-                for half in (Interval(None, p, False, False), Interval(p, None, False, False)):
-                    nxt.extend(q.core for q in _core_intersect(c, half))
-            pieces = nxt
-        return [Piece(c, ()) for c in pieces]
-    if ta is Sequence:
-        idxs = [n for n in (_seq_index(a, p) for p in relevant) if n is not None]
-        if not idxs:
-            return [Piece(a, ())]
-        cut = max(idxs) + 1
-        if cut - a.start > MAX_MATERIALIZE:
-            raise UnsupportedIntersection("sequence point-removal head too large")
-        head = tuple(
-            sorted(
-                a.term.eval(n)
-                for n in range(a.start, cut)
-                if a.term.eval(n) not in relevant
-            )
-        )
-        out = []
-        if head:
-            out.append(Piece(FinitePoints(head), ()))
-        out.append(Piece(Sequence(a.term, cut), ()))
-        return out
-    if ta is IntervalFamily:
-        pieces: list[Piece] = [Piece(a, ())]
-        for p in sorted(relevant):
-            nxt: list[Piece] = []
-            for q in pieces:
-                if not q.core.contains(p):
-                    nxt.append(q)
-                elif isinstance(q.core, IntervalFamily):
-                    # materialize the members up to the one holding p
-                    fam = q.core
-                    cut = _family_member_at(fam, p)[0] + 1
-                    for m in _family_head(fam, cut):
-                        nxt.extend(_attach_removals(_subtract_points(m, (p,)), q.removals))
-                    nxt.append(Piece(IntervalFamily(fam.lo, fam.hi, fam.lo_incl, fam.hi_incl, cut), q.removals))
-                else:
-                    nxt.extend(_attach_removals(_subtract_points(q.core, (p,)), q.removals))
-            pieces = nxt
-        return pieces
-    raise AssertionError(f"unhandled point subtraction from {ta}")
+    if isinstance(a, _Tail):
+        # the members up to the last one holding a point materialize, less
+        # the points, and the tail goes on after it
+        info = tail_info(a)
+        cut = 1 + max(member_at(a, info, p) for p in relevant)
+        removed = FinitePoints(tuple(sorted(relevant)))
+        out = [q for m in _members(a, cut) for q in _core_subtract(m, removed)]
+        return out + [Piece(replace(a, start=cut), ())]
+    # each point splits every piece holding it along the two open half-lines
+    # at the point
+    pieces = [a]
+    for p in sorted(relevant):
+        nxt = []
+        for c in pieces:
+            if not c.contains(p):
+                nxt.append(c)
+                continue
+            for half in (Interval(None, p, False, False), Interval(p, None, False, False)):
+                nxt.extend(q.core for q in _core_intersect(c, half))
+        pieces = nxt
+    return [Piece(c, ()) for c in pieces]
 
 
 def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
@@ -1403,7 +1287,7 @@ def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
         # clip the tail into the region: explicit members subtract exactly,
         # a surviving symbolic tail becomes a removal attached to the core
         pieces = [p]
-        for part in _family_clip(tail, core.box()):
+        for part in _tail_clip(tail, core.box()):
             if isinstance(part.core, IntervalFamily):
                 pieces = [
                     Piece(q.core, _merge_removals(q.removals, (part.core,))) for q in pieces
@@ -1418,15 +1302,8 @@ def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
     if isinstance(core, (CantorAffine, IntervalFamily)):
         if core == tail:
             return []
-        if isinstance(core, IntervalFamily):
-            same_shape = (core.lo, core.hi, core.lo_incl, core.hi_incl) == (
-                tail.lo,
-                tail.hi,
-                tail.lo_incl,
-                tail.hi_incl,
-            )
-            if same_shape:
-                return [Piece(m, p.removals) for m in _family_head(core, tail.start)]
+        if isinstance(core, IntervalFamily) and replace(core, start=tail.start) == tail:
+            return [Piece(m, p.removals) for m in _members(core, tail.start)]
         if _iv_disjoint(core.box(), hull):
             return [p]
         raise UnsupportedIntersection("thin atom minus family tail is outside the algebra")
@@ -1475,18 +1352,10 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
         core = p.core
         if isinstance(core, EmptySet):
             continue
-        if isinstance(core, Sequence):
-            head, tail = _seq_parts(core)
-            if head:
-                work.append(Piece(FinitePoints(head), p.removals))
-            if tail is not None and tail != core:
-                work.append(Piece(tail, p.removals))
-                continue
-        if isinstance(core, IntervalFamily):
-            raw, tail, info = _family_resolution(core)
+        if isinstance(core, _Tail):
+            head, tail, _ = _resolve(core)
             if tail != core:
-                for c, r in raw:
-                    work.append(Piece(c, _merge_removals(r, p.removals)))
+                work.extend(Piece(h.core, _merge_removals(h.removals, p.removals)) for h in head)
                 if tail is not None:
                     work.append(Piece(tail, p.removals))
                 continue
@@ -1521,49 +1390,27 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
 
     solids = merge_intervals(solids)
 
-    # family tails against solid cover
+    # family tails: the members under a solid drop out, as sequence members
+    # do below
     out_fams: list[Piece] = []
     extra_solids: list[Interval] = []
     for fp in fams:
-        keep = fp.core
-        info = family_tail_info(keep)
-        for s in solids:
-            if _iv_disjoint(s, keep.box()):
-                continue
-            near, far = _dist_edges(s, info.limit, info.side)
-            if _holds_limit_side(near, far):
-                # the solid covers a whole one-sided neighbourhood of the
-                # accumulation point: members under it are absorbed, the
-                # finitely many beyond it materialize
-                cut = keep.start if far is None else _monotone_first(info.far, keep.start, far[0])
-                rest = None
+        for q in _uncovered_tail(fp.core, solids):
+            if isinstance(q.core, IntervalFamily):
+                out_fams.append(Piece(q.core, fp.removals))
+            elif isinstance(q.core, FinitePoints):
+                add_points(q.core.points, fp.removals)
+            elif fp.removals:
+                removal_ivs.append(Piece(q.core, fp.removals))
             else:
-                # solid sits away from the limit: split the tail at its near edge
-                if near is None:
-                    continue  # it lies at d <= 0, where no member is
-                cut = _monotone_first(info.far, keep.start, near[0])
-                if cut is None:
-                    continue
-                rest = IntervalFamily(keep.lo, keep.hi, keep.lo_incl, keep.hi_incl, cut)
-            if cut is None:
-                raise UnsupportedIntersection("family absorption head too large")
-            for m in _family_head(keep, cut):
-                if isinstance(m, Interval):
-                    extra_solids.append(m)
-                else:
-                    pts.update(m.points)
-            keep = rest
-            if keep is None:
-                break
-        if keep is not None:
-            out_fams.append(Piece(keep, fp.removals))
+                extra_solids.append(q.core)
     if extra_solids:
         solids = merge_intervals(solids + extra_solids)
 
     # distinct family tails must not share an accumulation side
     for i, f1 in enumerate(out_fams):
         for f2 in out_fams[i + 1 :]:
-            i1, i2 = family_tail_info(f1.core), family_tail_info(f2.core)
+            i1, i2 = tail_info(f1.core), tail_info(f2.core)
             if i1.limit == i2.limit and i1.side == i2.side and f1.core != f2.core:
                 raise UnsupportedIntersection("two family tails accumulate on the same side")
 
@@ -1616,11 +1463,9 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
 
     # sequences: drop members covered by solids or rational pieces
     seq_out: list[Piece] = []
+    seq_covers = solids + [qp.core.iv for qp in q_out if not qp.removals]
     for sp in seqs:
-        parts = [sp]
-        for s in solids + [q.core.iv for q in q_out if not q.removals]:
-            parts = [w for q in parts for w in _core_subtract(q.core, s)]
-        for q in parts:
+        for q in _uncovered_tail(sp.core, seq_covers):
             if isinstance(q.core, Sequence):
                 seq_out.append(q)
             else:
@@ -1659,6 +1504,15 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
     result.extend(seq_out)
     result.extend(out_fams)
     return Normal(tuple(sorted(result, key=_piece_rank)))
+
+
+def _uncovered_tail(tail: _Tail, covers: list[Interval]) -> list[Piece]:
+    """The pieces of the tail that none of the covers holds."""
+    box, parts = tail.box(), [Piece(tail, ())]
+    for c in covers:
+        if not _iv_disjoint(c, box):
+            parts = [w for q in parts for w in _core_subtract(q.core, c)]
+    return parts
 
 
 def _uncovered(iv: Interval, solids: list[Interval]) -> tuple[list[Interval], list[Q]]:
@@ -1852,9 +1706,10 @@ def _removed_around(piece: Piece, a: Q) -> Q | None:
     strictly inside, if one does."""
     for r in piece.removals:
         if isinstance(r, IntervalFamily):
-            hit = _family_member_at(r, a)
-            if hit is not None and hit[1].lo < a < hit[1].hi:
-                return min(a - hit[1].lo, hit[1].hi - a)
+            m = member_at(r, tail_info(r), a)
+            member = None if m is None else r.member(m)
+            if member is not None and member.lo < a < member.hi:
+                return min(a - member.lo, member.hi - a)
     return None
 
 

@@ -93,9 +93,9 @@ def test_measure_subadditive_random():
 def test_family_tail_measure_geometric_exact(omega_set):
     lo, hi = family_tail_measure(omega_set)
     # whole-family atom resolves before tail measurement; build a tail directly
-    from limitlab.sets import _family_resolution
+    from limitlab.sets import _resolve
 
-    _, tail, _ = _family_resolution(omega_set)
+    _, tail, _ = _resolve(omega_set)
     t_lo, t_hi = family_tail_measure(tail)
     assert t_lo == t_hi  # purely geometric widths sum exactly
 

@@ -103,6 +103,13 @@ def test_syntax_error_exit(capsys):
     assert "column 4" in err or "line 1" in err
 
 
+def test_family_flag_other_than_0_or_1_exit(capsys):
+    code = run(["--format", "structured", "measure", "--set", "family(1/n - (1/2)^n, 1/n, 1, 2, 7)"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert payload["error"] == "DslSyntaxError"
+
+
 def test_unsupported_algebra_exit(capsys):
     code = run(["measure", "--set", "Q(R) & cantor(0,1)"])
     assert code == EXIT_ERROR

@@ -44,6 +44,18 @@ def test_parse_error_never_crashes():
             pass
 
 
+@pytest.mark.parametrize("flags, bad", [("1, 2", 1), ("7, 1", 0), ("5, 0", 0), ("-1, 1", 0), ("1, 01", 1), ("1, x", 1)])
+def test_family_flags_are_0_or_1(flags, bad):
+    prefix = "family(1/n - (1/2)^n, 1/n, 1, "
+    assert parse_set(prefix + "0, 1)") == IntervalFamily(
+        parse_set("seq(1/n - (1/2)^n)").term, parse_set("seq(1/n)").term, False, True, 1
+    )
+    with pytest.raises(DslSyntaxError, match="flag 0 or 1") as err:
+        parse_set(f"{prefix}{flags})")
+    # the error points at the offending flag
+    assert (err.value.line, err.value.column) == (1, len(prefix) + 1 + 3 * bad)
+
+
 def test_parse_fn_examples(dirichlet, cantor_indicator):
     assert parse_fn("piecewise { 1 on Q(R); else 0 }") == dirichlet
     assert parse_fn("piecewise { 1 on cantor(0,1); else 0 }") == cantor_indicator

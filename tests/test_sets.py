@@ -247,6 +247,50 @@ def _corpus_sets():
     return out
 
 
+# A family tail whose member 20 ends at 1/20, with closed edges, against
+# boxes and solids with an edge at 1/20; the last set keeps its rationals
+# removed from the members that a solid beside the limit leaves over.
+_MEMBER_EDGE_SETS = [
+    ("family(1/n - (1/2)^n, 1/n, 1, 1, 1) & [1/20, 1]", Q(1, 20)),
+    ("family(1/n - (1/2)^n, 1/n, 1, 1, 1) \\ (-1, 1/20)", Q(1, 20)),
+    ("family(-1/n, -1/n + (1/2)^n, 1, 1, 1) & [-1, -1/20]", Q(-1, 20)),
+    ("family(1/n - (1/2)^n, 1/n, 1, 1, 1) | (0, 1/20)", Q(1, 20)),
+]
+_MEMBERS_MINUS_RATIONALS = "(family(1/n - (1/2)^n, 1/n, 1, 1, 1) \\ Q([0, 1])) | [0, 1/20]"
+
+
+def _member_edge_sets():
+    exprs = [parse_set(text) for text, _ in _MEMBER_EDGE_SETS] + [parse_set(_MEMBERS_MINUS_RATIONALS)]
+    return exprs + [mirror(e) for e in exprs]
+
+
+@pytest.mark.parametrize("text, edge", _MEMBER_EDGE_SETS)
+def test_closed_member_edge_on_a_box_edge_is_kept(text, edge):
+    e = parse_set(text)
+    assert contains(e, edge) is True
+    assert contains(mirror(e), -edge) is True
+    assert contains(normalize(e), edge) is True
+
+
+def test_members_left_beside_a_solid_keep_their_removals():
+    e = parse_set(_MEMBERS_MINUS_RATIONALS)
+    for x in (Q(1, 19), Q(1, 2), Q(3, 4)):
+        assert contains(e, x) is False
+        assert contains(mirror(e), -x) is False
+    assert contains(e, Q(1, 40)) is True
+
+
+def test_tail_lookup_past_its_index_bound_refuses():
+    # 1/2^70 is the member of index 2^70 and 3/2^71 lies between two members
+    # past index 2^62, where the index search stops
+    s = parse_set("seq(1/n)")
+    for x in (Q(1, 2**70), Q(3, 2**71)):
+        with pytest.raises(UnsupportedIntersection, match="2\\^62"):
+            contains(s, x)
+    with pytest.raises(UnsupportedIntersection, match="2\\^62"):
+        piece_distance_floor(sets.Piece(s), Q(1, 2**70) + Q(1, 2**200))
+
+
 def test_membership_agrees_with_the_tree(monkeypatch, dirichlet, cantor_indicator, omega_indicator, identity_fn):
     # membership(e) compiles the testers of e's normal form; _tree_contains
     # tests e node by node without normalizing
@@ -255,6 +299,7 @@ def test_membership_agrees_with_the_tree(monkeypatch, dirichlet, cantor_indicato
     # defect of the normal form
     removed_cantor_point = parse_set("cantor(-1/2,-1) & ([-1,1/8) \\ cantor(-3/4,1/2))")
     exprs = _sets_normalized_by_the_fixtures(monkeypatch, fixtures) + _corpus_sets() + [removed_cantor_point]
+    exprs += _member_edge_sets()
     rng = random.Random(29)
     exprs += [rand_set_expr(rng, 3) for _ in range(400)]
     checked, defective = 0, set()
