@@ -224,7 +224,7 @@ def tail_density_class(fam: IntervalFamily) -> tuple[str, Q | None]:
     disjoint tail at its own accumulation point, by dominant-decay analysis
     of member widths against member positions."""
     width = fam.hi - fam.lo
-    position = tail_info(fam).far  # distance of the far edge from the limit
+    position = tail_info(fam).far.term  # distance of the far edge from the limit
     wk, wkey, wc = _dominant(width)
     pk, pkey, _ = _dominant(position)
     pos_sum = _abs_coeff_sum(position)

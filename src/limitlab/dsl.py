@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DslSyntaxError, RangeError, UnknownAtom
-from .poly import Poly
+from .poly import Poly, rat_text
 from .sets import (
     EMPTY,
     FULL_LINE,
@@ -87,9 +87,9 @@ def _tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("num", text[i:j], line, col))
             col += j - i
@@ -117,6 +117,8 @@ class _Parser:
     # Parenthesised sets and chains of differences build trees as deep as
     # they nest; every layer of the engine recurses over that depth.
     MAX_NESTING = 100
+    # Python reads integers of at most this many digits from text.
+    MAX_DIGITS = 4300
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -152,13 +154,21 @@ class _Parser:
 
     # --- numbers -------------------------------------------------------
 
+    def numeral(self) -> int:
+        tok = self.expect("num")
+        if len(tok.text) > self.MAX_DIGITS:
+            raise RangeError(
+                f"numeral longer than {self.MAX_DIGITS} digits "
+                f"(line {tok.line}, column {tok.col})"
+            )
+        return int(tok.text)
+
     def parse_int(self) -> int:
         neg = False
         if self.peek().kind == "-":
             self.next()
             neg = True
-        tok = self.expect("num")
-        v = int(tok.text)
+        v = self.numeral()
         return -v if neg else v
 
     def parse_bool(self) -> bool:
@@ -172,12 +182,12 @@ class _Parser:
         if self.peek().kind == "-":
             self.next()
             neg = True
-        tok = self.expect("num")
-        num = int(tok.text)
+        tok = self.peek()
+        num = self.numeral()
         den = 1
         if self.peek().kind == "/" and self.peek(1).kind == "num":
             self.next()
-            den = int(self.expect("num").text)
+            den = self.numeral()
             if den == 0:
                 raise DslSyntaxError("zero denominator", tok.line, tok.col)
         q = Q(num, den)
@@ -461,10 +471,6 @@ def parse_rational(text: str) -> Q:
 
 
 # --- printing ---------------------------------------------------------------------
-
-
-def rat_text(q: Q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _xrat_text(v: Q | None, side: int) -> str:

@@ -43,7 +43,8 @@ class DslSyntaxError(SyntaxError, LimitLabError):
 
 
 class RangeError(ValueError, LimitLabError):
-    """A numeric literal is outside its permitted range (e.g. geometric ratio)."""
+    """An input or a result is outside its permitted range (e.g. a geometric
+    ratio, or a numeral longer than 4300 digits)."""
 
 
 class UnknownAtom(LimitLabError):

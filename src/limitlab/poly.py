@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .errors import RangeError
+
 Q = Fraction
 
 
@@ -112,10 +114,10 @@ class Poly:
                 continue
             mag = abs(c)
             if i == 0:
-                body = _q_text(mag)
+                body = rat_text(mag)
             else:
                 xs = var if i == 1 else f"{var}^{i}"
-                body = xs if mag == 1 else f"{_q_text(mag)}*{xs}"
+                body = xs if mag == 1 else f"{rat_text(mag)}*{xs}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -123,8 +125,12 @@ class Poly:
         return " ".join(parts)
 
 
-def _q_text(q: Q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def rat_text(q: Q) -> str:
+    """q as DSL text: an integer or n/d."""
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:  # Python writes no integer of more than 4300 digits
+        raise RangeError("a numeral of the result is longer than 4300 digits") from None
 
 
 # --- root isolation -------------------------------------------------------

@@ -39,10 +39,20 @@ One clip (_tail_clip), one member lookup (member_at) and one distance floor
 compare a point x by its distance coordinate d = s*(x - L) against those
 terms, for both kinds and both sides; members and shortened tails are
 always built from the real atom.
+
+_resolve compiles both distance terms once into integer form (_Dist), and
+d is kept as a pair of integers.  Each of those searches asks for the
+first index n with term(n) < d (or <= d).  For one power monomial
+c/(n+s)^k that index is an integer k-th root; for one geometric part
+c*r^n it is estimated from logarithms and confirmed by exact integer
+comparisons.  Any other term, or an estimate that is not confirmed, gallops
+over exact comparisons.  No estimate decides an answer by itself, and a
+search past start + 2^62 refuses.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -304,13 +314,14 @@ class _Tail(SetExpr):
         """The distance from a, which the tail does not reach, to the nearest
         member; a itself, when it is a sequence value, is left out."""
         info = tail_info(self)
-        d = info.dist(a)
+        da, db = info.coords(a)
+        d = Q(da, db)
         if d <= 0:
             return -d
-        n = _monotone_first(info.far, self.start, d, strict=True)  # first member wholly nearer the limit
-        nearer = d - info.far.eval(n)
+        n = info.far.first(self.start, da, db, True)  # first member wholly nearer the limit
+        nearer = d - info.far.term.eval(n)
         for k in (n - 1, n - 2):  # the nearest member beyond a
-            beyond = info.near.eval(k) - d if k >= self.start else 0
+            beyond = info.near.term.eval(k) - d if k >= self.start else 0
             if beyond > 0:
                 return min(nearer, beyond)
         return nearer
@@ -390,7 +401,7 @@ class IntervalFamily(_Tail):
             # the point of member n that lies u of its width in from its
             # edge nearer the limit, in distance coordinates
             u = Q(rng.randrange(1, 16), 16)
-            d = info.far.eval(n) - width * (1 - u)
+            d = info.far.term.eval(n) - width * (1 - u)
             out.append(info.limit + info.side * d)
         return out
 
@@ -768,19 +779,22 @@ class TailInfo:
     """The shape of a canonical tail, whatever its start.  Its members lie
     on side s of the limit (+1 right, -1 left).  near and far are the terms
     s*(e - limit) of each member's edge e nearer to and away from the limit,
-    both positive and strictly decreasing, and far_incl says whether members
-    hold their far edge.  A sequence's near and far are both its distance
-    term, and its far_incl is True."""
+    both positive and strictly decreasing, in integer form (_Dist), and
+    near_incl and far_incl say whether members hold those edges.  A
+    sequence's near and far are both its distance term, and it holds both."""
 
     limit: Q
     side: int
-    near: Term
-    far: Term
+    near: _Dist
+    far: _Dist
+    near_incl: bool
     far_incl: bool
 
-    def dist(self, x: Q) -> Q:
-        """x in distance coordinates: how far beyond the limit on the tail's side."""
-        return self.side * (x - self.limit)
+    def coords(self, x: Q) -> tuple[int, int]:
+        """x in distance coordinates, as a/b with b > 0: how far beyond the
+        limit on the tail's side."""
+        ln, ld = self.limit.numerator, self.limit.denominator
+        return self.side * (x.numerator * ld - ln * x.denominator), x.denominator * ld
 
 
 @lru_cache(maxsize=None)
@@ -802,8 +816,8 @@ def _seq_resolution(seq: Sequence):
     side, n_side = dist.eventual_sign()
     s_step, n_step = (seq.term - seq.term.shifted()).eventual_sign()
     assert side != 0 and s_step != 0
-    dist = dist.scale(side)
-    info = TailInfo(seq.limit, side, dist, dist, True)
+    dist = _compile(dist.scale(side))
+    info = TailInfo(seq.limit, side, dist, dist, True, True)
     tail = Sequence(seq.term, max(seq.start, n_side, n_step))
     # the head's values that the tail does not take again
     vals = [v for m in _members(seq, tail.start) for v in m.points if member_at(tail, info, v) is None]
@@ -821,9 +835,9 @@ def _family_resolution(fam: IntervalFamily):
     s_lo, n_lo = (lo - Term.constant(limit)).eventual_sign()
     s_hi, n_hi = (hi - Term.constant(limit)).eventual_sign()
     if s_lo >= 0 and s_hi == 1:
-        side, near, far, far_incl = 1, lo, hi, fam.hi_incl
+        side, near, far, near_incl, far_incl = 1, lo, hi, fam.lo_incl, fam.hi_incl
     elif s_hi <= 0 and s_lo == -1:
-        side, near, far, far_incl = -1, hi, lo, fam.lo_incl
+        side, near, far, near_incl, far_incl = -1, hi, lo, fam.hi_incl, fam.lo_incl
     else:
         # members straddle the limit forever: they overlap, collapse
         return _family_collapse(fam, max(n_lo, n_hi), 1)
@@ -838,7 +852,7 @@ def _family_resolution(fam: IntervalFamily):
         n_star = max(fam.start, n_lo, n_hi, n_d, n_w)
         head = tuple(Piece(m, ()) for m in _members(fam, n_star))
         tail = IntervalFamily(lo, hi, fam.lo_incl, fam.hi_incl, n_star)
-        return head, tail, TailInfo(limit, side, near_d, far_d, far_incl)
+        return head, tail, TailInfo(limit, side, _compile(near_d), _compile(far_d), near_incl, far_incl)
     # touching (s_d == 0) or overlapping members chain into an interval
     return _family_collapse(fam, max(n_lo, n_hi, n_d, n_w), side)
 
@@ -904,25 +918,157 @@ def _members(tail: _Tail, stop: int) -> list[SetExpr]:
     return [m for m in members if not isinstance(m, EmptySet)]
 
 
-def _monotone_first(term: Term, start: int, x: Q, strict: bool = False) -> int:
-    """First n >= start with term(n) <= x (term(n) < x when strict), for a
-    term strictly decreasing on n >= start to a limit below x."""
-    bound = 0 if strict else 1  # compare_at is -1, 0 or 1
-    if term.compare_at(start, x) < bound:
+# Index searches stop at start + 2^62, and exact comparisons expand a
+# geometric part's r^n only while n times the bit length of r's denominator
+# stays within _EXACT_BITS; past either bound a lookup refuses.
+_INDEX_BOUND = 1 << 62
+_EXACT_BITS = 1 << 20
+
+
+def _index_refusal() -> UnsupportedIntersection:
+    return UnsupportedIntersection("tail index search passed 2^62")
+
+
+def _exact_refusal() -> UnsupportedIntersection:
+    return UnsupportedIntersection("tail comparison needs a geometric power past 2^20 bits")
+
+
+def _iroot(t: int, k: int) -> int:
+    """floor(t^(1/k)) for t >= 0: Newton steps from above, from a power of
+    two past the root (Brent & Zimmermann, Modern Computer Arithmetic, 1.5)."""
+    if k == 1 or t < 2:
+        return t
+    if k == 2:
+        return math.isqrt(t)
+    r = 1 << -(-t.bit_length() // k)
+    while True:
+        y = ((k - 1) * r + t // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
+
+
+class _Dist:
+    """A tail's distance term compiled once to integers: positive and
+    strictly decreasing from the tail's start.  A distance a/b is a pair of
+    integers with b > 0.  sign(n, a, b) is the exact sign of term(n) - a/b,
+    and first(start, a, b, strict) the first n >= start with term(n) < a/b
+    (term(n) <= a/b when not strict).  This general form gallops over exact
+    comparisons; one power monomial or one geometric part solve for the
+    crossing directly (_PowerDist, _GeoDist)."""
+
+    def __init__(self, term: Term):
+        self.term = term
+        self.bits = max((r.denominator.bit_length() for r, _ in term.geo), default=0)
+
+    def sign(self, n: int, a: int, b: int) -> int:
+        x = Q(a, b)
+        lo, hi = self.term.eval_bounds(n)
+        if lo > x:
+            return 1
+        if hi < x:
+            return -1
+        if n * self.bits > _EXACT_BITS:
+            raise _exact_refusal()
+        v = self.term.eval(n)
+        return (v > x) - (v < x)
+
+    def first(self, start: int, a: int, b: int, strict: bool) -> int:
+        return _gallop(self.sign, start, a, b, strict)
+
+
+class _PowerDist(_Dist):
+    """p/(q*(n+s)^k): term(n) < a/b exactly when (n+s)^k > p*b/(a*q), so the
+    crossing is an integer k-th root."""
+
+    def __init__(self, term: Term):
+        super().__init__(term)
+        ((self.k, self.s, c),) = term.pw
+        self.p, self.q = c.numerator, c.denominator
+
+    def sign(self, n: int, a: int, b: int) -> int:
+        v = self.p * b - a * self.q * (n + self.s) ** self.k
+        return (v > 0) - (v < 0)
+
+    def first(self, start: int, a: int, b: int, strict: bool) -> int:
+        if a <= 0:
+            raise _index_refusal()
+        num, den = self.p * b, a * self.q
+        t = num // den + 1 if strict else -(-num // den)  # the least m^k that crosses
+        m = _iroot(t, self.k)
+        if m**self.k < t:
+            m += 1
+        n = max(start, m - self.s)
+        if n - start > _INDEX_BOUND:
+            raise _index_refusal()
+        return n
+
+
+class _GeoDist(_Dist):
+    """(p/q)*(u/v)^n: term(n) < a/b exactly when (v/u)^n > p*b/(a*q).  The
+    crossing is estimated from logarithms (math.log reads an integer's bit
+    length and leading bits) and confirmed by exact integer comparisons; an
+    estimate that three steps do not confirm falls back to galloping."""
+
+    def __init__(self, term: Term):
+        super().__init__(term)
+        ((r, c),) = term.geo
+        self.u, self.v = r.numerator, r.denominator
+        self.p, self.q = c.numerator, c.denominator
+        self.log_step = math.log1p((self.v - self.u) / self.u)  # log(1/r) > 0
+
+    def sign(self, n: int, a: int, b: int) -> int:
+        if n * self.bits > _EXACT_BITS:
+            raise _exact_refusal()
+        v = self.p * b * self.u**n - a * self.q * self.v**n
+        return (v > 0) - (v < 0)
+
+    def first(self, start: int, a: int, b: int, strict: bool) -> int:
+        if a <= 0:
+            raise _index_refusal()
+        bound = 0 if strict else 1
+        est = (math.log(self.p * b) - math.log(a * self.q)) / self.log_step if self.log_step else math.inf
+        if not est < start + _INDEX_BOUND:
+            return _gallop(self.sign, start, a, b, strict)
+        n = max(start, math.floor(est) + 1)
+        for _ in range(3):  # the estimate is within a step or two of the crossing
+            if self.sign(n, a, b) >= bound:
+                n += 1
+            elif n > start and self.sign(n - 1, a, b) < bound:
+                n -= 1
+            else:
+                return n
+        return _gallop(self.sign, start, a, b, strict)
+
+
+def _compile(term: Term) -> _Dist:
+    """The integer form of a tail's distance term (limit 0, positive)."""
+    if not term.geo and len(term.pw) == 1:
+        return _PowerDist(term)
+    if not term.pw and len(term.geo) == 1:
+        return _GeoDist(term)
+    return _Dist(term)
+
+
+def _gallop(sign: Callable[[int, int, int], int], start: int, a: int, b: int, strict: bool) -> int:
+    """First n >= start with sign(n, a, b) < 0 (<= 0 when not strict), by
+    galloping and then bisecting, for a decreasing term."""
+    bound = 0 if strict else 1
+    if sign(start, a, b) < bound:
         return start
     span = 1
     lo = start
     while True:
         hi = start + span
-        if term.compare_at(hi, x) < bound:
+        if sign(hi, a, b) < bound:
             break
         lo = hi
         span *= 2
-        if span > 1 << 62:
-            raise UnsupportedIntersection("tail index search passed 2^62")
+        if span > _INDEX_BOUND:
+            raise _index_refusal()
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if term.compare_at(mid, x) < bound:
+        if sign(mid, a, b) < bound:
             hi = mid
         else:
             lo = mid
@@ -931,13 +1077,17 @@ def _monotone_first(term: Term, start: int, x: Q, strict: bool = False) -> int:
 
 def member_at(tail: _Tail, info: TailInfo, x: Q) -> int | None:
     """Index of the member of a canonical tail (with its TailInfo) whose
-    closure holds x, if any.  Members are strictly separated, so it can only
-    be the last member whose far edge is not nearer the limit than x."""
-    d = info.dist(x)
-    if d <= 0:
+    closure holds x, if any."""
+    return _member_at(tail.start, info, *info.coords(x))
+
+
+def _member_at(start: int, info: TailInfo, a: int, b: int) -> int | None:
+    """member_at for the distance a/b.  Members are strictly separated, so
+    it can only be the last member whose far edge is not nearer the limit."""
+    if a <= 0:
         return None
-    n = _monotone_first(info.far, tail.start, d, strict=True)
-    if n == tail.start or info.near.compare_at(n - 1, d) > 0:
+    n = info.far.first(start, a, b, True)
+    if n == start or info.near.sign(n - 1, a, b) > 0:
         return None
     return n - 1
 
@@ -954,28 +1104,33 @@ def _tail_tester(atom: _Tail) -> Callable[[Q], bool]:
 
     if tail is None:
         return in_head
-    side, ln, ld = info.side, info.limit.numerator, info.limit.denominator
-    first = info.far.eval_bounds(tail.start)[1]  # no member lies farther out
+    start, near, far, near_incl, far_incl = tail.start, info.near, info.far, info.near_incl, info.far_incl
+    first = far.term.eval_bounds(start)[1]  # no member lies farther out
     fn, fd = first.numerator, first.denominator
 
     def test(x: Q) -> bool:
         if head and in_head(x):
             return True
-        n, d = x.numerator, x.denominator
-        s = side * (n * ld - ln * d)  # the distance coordinate is s / (d*ld)
-        if s <= 0 or s * fd > fn * d * ld:
+        a, b = info.coords(x)
+        if a <= 0 or a * fd > fn * b:
             return False
-        m = member_at(tail, info, x)
-        return m is not None and tail.member(m).contains(x)
+        m = _member_at(start, info, a, b)
+        # the member's closure holds x: it holds x unless x is a left-out edge
+        return (
+            m is not None
+            and (near_incl or near.sign(m, a, b) != 0)
+            and (far_incl or far.sign(m, a, b) != 0)
+        )
 
     return test
 
 
 def _dist_edges(box: Interval, info: TailInfo):
     """The box's (near, far) edges in the tail's distance coordinates: each
-    a (d, included) pair, or None for an unbounded end."""
-    lo = None if box.lo is None else (info.dist(box.lo), box.lo_incl)
-    hi = None if box.hi is None else (info.dist(box.hi), box.hi_incl)
+    an (a, b, included) triple for the distance a/b, or None for an
+    unbounded end."""
+    lo = None if box.lo is None else (*info.coords(box.lo), box.lo_incl)
+    hi = None if box.hi is None else (*info.coords(box.hi), box.hi_incl)
     return (lo, hi) if info.side > 0 else (hi, lo)
 
 
@@ -993,10 +1148,10 @@ def _tail_clip(tail: _Tail, box: Interval) -> list[Piece]:
         return []  # the box stays at or before the limit, where no member is
     rest = None
     if near is None or near[0] <= 0:
-        cut = tail.start if far is None else _monotone_first(info.far, tail.start, far[0], info.far_incl and not far[1])
+        cut = tail.start if far is None else info.far.first(tail.start, far[0], far[1], info.far_incl and not far[2])
         rest = replace(tail, start=cut)
     else:
-        cut = _monotone_first(info.far, tail.start, near[0], strict=True)
+        cut = info.far.first(tail.start, near[0], near[1], True)
     out = [q for m in _members(tail, cut) for q in _core_intersect(m, box)]
     if rest is not None:
         out.append(Piece(rest, ()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RangeError
-from .poly import Poly
+from .poly import Poly, rat_text
 
 Q = Fraction
 
@@ -139,21 +139,6 @@ class Term:
             g += abs(c) * r ** min(n, _EXP_CAP)
         return v - g, v + g
 
-    def compare_at(self, n: int, x: Q) -> int:
-        """Sign of t(n) - x, deciding through bounds when exact evaluation
-        would be too expensive."""
-        lo, hi = self.eval_bounds(n)
-        if lo > x:
-            return 1
-        if hi < x:
-            return -1
-        if n <= 2 * _EXP_CAP or not self.geo:
-            v = self.eval(n)
-            return (v > x) - (v < x)
-        raise OverflowError(
-            "comparison too close to resolve at index beyond the exponent cap"
-        )
-
     def index_with_deviation_below(self, margin: Q, start: int = 1) -> int:
         """Smallest probed index n >= start with deviation_bound(n) < margin."""
         if margin <= 0:
@@ -164,7 +149,7 @@ class Term:
         while self.deviation_bound(n) >= margin:
             n *= 2
             if n > 1 << 62:
-                raise OverflowError("deviation threshold search diverged")
+                raise RangeError("the sign of a term is not certified before index 2^62")
         return n
 
     def _power_rational_function(self) -> tuple[Poly, Poly]:
@@ -217,7 +202,7 @@ class Term:
                         break
                     n *= 2
                     if n > 1 << 62:
-                        raise OverflowError("sign threshold search diverged")
+                        raise RangeError("the sign of a term is not certified before index 2^62")
             return sign, n
         if self.geo:
             rstar, cstar = self.geo[0]
@@ -273,17 +258,13 @@ class Term:
                 parts.append(f"+ {body}" if sign_value > 0 else f"- {body}")
 
         if self.const != 0 or (not self.geo and not self.pw):
-            _join(self.const if self.const != 0 else Q(1), _q_text(abs(self.const)))
+            _join(self.const if self.const != 0 else Q(1), rat_text(abs(self.const)))
         for r, c in self.geo:
-            coeff = "" if abs(c) == 1 else f"{_q_text(abs(c))}*"
-            _join(c, f"{coeff}({_q_text(r)})^n")
+            coeff = "" if abs(c) == 1 else f"{rat_text(abs(c))}*"
+            _join(c, f"{coeff}({rat_text(r)})^n")
         for k, s, c in self.pw:
             if s != 0:
                 raise ValueError("shifted power monomials have no surface syntax")
             suffix = "/n" if k == 1 else f"/n^{k}"
-            _join(c, f"{_q_text(abs(c))}{suffix}")
+            _join(c, f"{rat_text(abs(c))}{suffix}")
         return " ".join(parts)
-
-
-def _q_text(q: Q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

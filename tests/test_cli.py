@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +114,18 @@ def test_family_flag_other_than_0_or_1_exit(capsys):
     assert payload["error"] == "DslSyntaxError"
 
 
+def test_overlong_numeral_ends_without_a_traceback():
+    # past 4300 digits Python refuses to read an integer from text
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["measure", "--set", "[0, 1/" + "7" * 4400 + "]"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "limitlab", *argv], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr
+    assert "longer than 4300 digits" in proc.stderr
+
+
 def test_unsupported_algebra_exit(capsys):
     code = run(["measure", "--set", "Q(R) & cantor(0,1)"])
     assert code == EXIT_ERROR
@@ -130,6 +146,9 @@ def test_structured_error(capsys):
     assert payload["error"] == "DslSyntaxError"
 
 
+_BIG, _ODD = int("7" * 3000), int("3" * 2999 + "1")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -140,8 +159,16 @@ def test_structured_error(capsys):
         ["measure", "--set", "(" * 3000 + "[0,1]" + ")" * 3000],
         ["measure", "--set", "[0,1]" + " \\ [5,6]" * 3000],
         ["classify", "--fn", "piecewise { 1 on " + "(" * 3000 + "Q(R)" + ")" * 3000 + "; else 0 }", "--at", "0"],
+        ["measure", "--set", "[0, 1/" + "7" * 4400 + "]"],
+        # each numeral fits, but the measure's denominator has about 6000 digits
+        ["measure", "--set", f"[0, 1/{_BIG}] | [2, {2 * _ODD + 1}/{_ODD}]"],
+        # the family analysis meets 10^-30 + 1/n - 1/(n+1), whose sign no index up to 2^62 certifies
+        ["measure", "--set", f"family(1/n, 1/{10**30} + 1/n)"],
     ],
-    ids=["radius-0", "radius-negative", "estimate-radius-0", "samples-0", "parens-3000", "differences-3000", "fn-parens-3000"],
+    ids=[
+        "radius-0", "radius-negative", "estimate-radius-0", "samples-0", "parens-3000", "differences-3000",
+        "fn-parens-3000", "numeral-4400-digits", "result-numeral-6000-digits", "sign-settled-past-2^62",
+    ],
 )
 def test_out_of_range_input_is_a_typed_error(argv, capsys):
     code = run(["--format", "structured", *argv])

@@ -56,6 +56,35 @@ def test_family_flags_are_0_or_1(flags, bad):
     assert (err.value.line, err.value.column) == (1, len(prefix) + 1 + 3 * bad)
 
 
+_LONG = "7" * 4301
+
+
+@pytest.mark.parametrize(
+    "parse, prefix, suffix",
+    [
+        (parse_set, "[0, 1/", "]"),
+        (parse_set, "points(", ")"),
+        (parse_set, "seq(1/n^", ")"),
+        (parse_set, "seq(1/n, ", ")"),
+        (parse_rational, "-", ""),
+        (parse_rational, "1/", ""),
+        (parse_fn, "piecewise { else ", "*x }"),
+    ],
+)
+def test_overlong_numerals_are_refused(parse, prefix, suffix):
+    # past 4300 digits Python refuses to read an integer from text
+    with pytest.raises(RangeError, match=f"longer than 4300 digits \\(line 1, column {len(prefix) + 1}\\)"):
+        parse(prefix + _LONG + suffix)
+    assert parse_rational("1/" + _LONG[:4300]) == Q(1, int(_LONG[:4300]))
+
+
+def test_numerals_are_decimal_digits():
+    # a superscript two is a digit to str.isdigit but not a numeral
+    with pytest.raises(DslSyntaxError, match="unexpected character") as err:
+        parse_set("[0, \u00b2]")
+    assert (err.value.line, err.value.column) == (1, 5)
+
+
 def test_parse_fn_examples(dirichlet, cantor_indicator):
     assert parse_fn("piecewise { 1 on Q(R); else 0 }") == dirichlet
     assert parse_fn("piecewise { 1 on cantor(0,1); else 0 }") == cantor_indicator

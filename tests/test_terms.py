@@ -39,6 +39,13 @@ def test_eventual_sign_constant_dominates():
         assert t.eval(n) > 0
 
 
+def test_sign_certified_only_past_the_index_bound_is_a_range_error():
+    # 1/n drops below the constant 10^-30 only past index 10^30 > 2^62
+    t = Term.make(const=Q(1, 10**30), pw=[(1, 0, -1)])
+    with pytest.raises(RangeError, match="2\\^62"):
+        t.eventual_sign()
+
+
 def test_eventual_sign_power_beats_geometric():
     # -100*(1/2)^n + 1/n is eventually positive
     t = Term.make(geo=[(Q(1, 2), -100)], pw=[(1, 0, 1)])
