@@ -2,9 +2,14 @@
 
 Sampling is counter-based: sample i of a run is a pure function of
 (seed, i), so estimates are identical regardless of evaluation order or
-parallel splitting.  Samples live on a dyadic grid and membership is exact,
-which means thin sets (rationals, Cantor images, sequences) are outside the
-estimator's reach: a dyadic grid systematically over- or under-counts them.
+parallel splitting.  Sample i of the window (lo, lo + width) is the grid
+point lo + width*j/2^40, with j the first 8 bytes of sha256("seed:i") modulo
+2^40.  lo and width are put over one denominator once per run, so each
+sample is the one Fraction Q(base + step*j, den).  A run takes at most
+MAX_SAMPLES samples.  Samples live on a dyadic grid and membership is
+exact, which means thin sets (rationals, Cantor images, sequences) are
+outside the estimator's reach: a dyadic grid systematically over- or
+under-counts them.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ from fractions import Fraction
 
 from .analyzers import measure
 from .errors import RangeError, UnsupportedIntersection
-from .sets import Intersection, SetExpr, membership, open_interval
+from .sets import Intersection, SetExpr, membership, open_interval, over_one_denominator
 
 Q = Fraction
 
 _GRID_BITS = 40
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -39,22 +45,25 @@ class MCEstimate:
     samples: int
 
 
-def _unit_sample(seed: int, index: int) -> Q:
+def _grid_index(seed: int, index: int) -> int:
+    """The grid point j of sample `index`: the window point is lo + width*j/2^40."""
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
-    j = int.from_bytes(digest[:8], "big") % (1 << _GRID_BITS)
-    return Q(j, 1 << _GRID_BITS)
+    return int.from_bytes(digest[:8], "big") % (1 << _GRID_BITS)
 
 
 def mc_measure(expr: SetExpr, cfg: SampleConfig) -> MCEstimate:
     """Monte-Carlo estimate of |expr ∩ (center - radius, center + radius)|."""
     if cfg.radius <= 0 or cfg.samples <= 0:
         raise RangeError("window radius and sample count must be positive")
-    lo = cfg.center - cfg.radius
+    if cfg.samples > MAX_SAMPLES:
+        raise RangeError(f"sample count is limited to {MAX_SAMPLES}")
     width = 2 * cfg.radius
+    base, step, den = over_one_denominator(cfg.center - cfg.radius, width)
+    base, den = base << _GRID_BITS, den << _GRID_BITS
     member = membership(expr)
     hits = 0
     for i in range(cfg.samples):
-        if member(lo + width * _unit_sample(cfg.seed, i)):
+        if member(Q(base + step * _grid_index(cfg.seed, i), den)):
             hits += 1
     p = hits / cfg.samples
     sigma = math.sqrt(max(p * (1 - p), 1e-12) / cfg.samples) * float(width)

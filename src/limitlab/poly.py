@@ -283,15 +283,6 @@ def _quadratic_roots(c: IntPoly) -> list[Q] | None:
     return sorted({Q(-c1 - s, 2 * c2), Q(-c1 + s, 2 * c2)})
 
 
-def count_roots(p: Poly, lo: Q, hi: Q) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi]."""
-    if p.is_zero():
-        return 0
-    chain = _sturm(_square_free(_int_form(p)))
-    lo, hi = _as_q(lo), _as_q(hi)
-    return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, hi.numerator, hi.denominator)
-
-
 RootLocation = Union[Q, tuple[Q, Q]]
 
 

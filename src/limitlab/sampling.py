@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .errors import UnsupportedIntersection
-from .sets import _normal, membership, piece_tester
+from .sets import _normal, membership, over_one_denominator, piece_tester
 
 Q = Fraction
 
@@ -37,9 +37,10 @@ def sample_points(expr, count: int = 200, seed: int = 0, center=0, spread=2) -> 
     except UnsupportedIntersection:
         # fall back to rejection sampling on the raw tree
         inside = membership(expr)
+        base, step, common = over_one_denominator(center - spread, 2 * spread)
         for _ in range(count * 20):
             den = rng.choice((64, 256, 1024, 4096))
-            x = center - spread + 2 * spread * Q(rng.randrange(0, den + 1), den)
+            x = Q(base * den + step * rng.randrange(0, den + 1), common * den)
             if x not in seen and inside(x):
                 seen.add(x)
                 picked.append(x)

@@ -122,10 +122,11 @@ class _BoxAtom(SetExpr):
             lo = center - spread if hi is None or center - spread < hi else hi - spread
         if hi is None:
             hi = center + spread if center + spread > lo else lo + spread
-        width, out = hi - lo, []
+        base, step, common = over_one_denominator(lo, hi - lo)
+        out = []
         for _ in range(want):
             den = rng.choice((64, 128, 256, 1024, 4096))
-            out.append(lo + width * Q(rng.randrange(1, den), den))
+            out.append(Q(base * den + step * rng.randrange(1, den), common * den))
         return out
 
 
@@ -452,6 +453,26 @@ def _any_of(tests: list[Callable[[Q], bool]]) -> Callable[[Q], bool]:
         return False
 
     return test
+
+
+def _all_of(tests: list[Callable[[Q], bool]]) -> Callable[[Q], bool]:
+    """The intersection of the tests, tried in order."""
+
+    def test(x: Q) -> bool:
+        for t in tests:
+            if not t(x):
+                return False
+        return True
+
+    return test
+
+
+def over_one_denominator(lo: Q, width: Q) -> tuple[int, int, int]:
+    """Integers (base, step, den) with lo = base/den and width = step/den, so
+    that the grid point lo + width*k/m of a window is the one Fraction
+    Q(base*m + step*k, den*m)."""
+    den = math.lcm(lo.denominator, width.denominator)
+    return lo.numerator * (den // lo.denominator), width.numerator * (den // width.denominator), den
 
 
 def _lazy(build: Callable[[], Callable[[Q], bool]]) -> Callable[[Q], bool]:
@@ -1790,12 +1811,16 @@ def normalize(expr: SetExpr) -> SetExpr:
 
 def membership(expr: SetExpr) -> Callable[[Q], bool]:
     """Exact membership test of expr on rationals, resolved once: the
-    testers of the normal form's pieces, or a walk of the tree when the
-    expression is refused."""
+    testers of the normal form's pieces.  A tree that is refused is compiled
+    once into tests of its nodes instead: a union tries its arguments in
+    order, an intersection needs all of them in order, a difference tests
+    its left side and then its right, and each atom's tester is built on the
+    first point that reaches it.  A build that refuses raises the same
+    UnsupportedIntersection at each point that reaches the atom."""
     try:
         pieces = _normal(expr).pieces
     except UnsupportedIntersection:
-        return partial(_tree_contains, expr)
+        return _tree_tester(expr)
     return _any_of([piece_tester(p) for p in pieces])
 
 
@@ -1807,18 +1832,15 @@ def contains(expr: SetExpr, x) -> bool:
     return membership(expr)(Q(x))
 
 
-def _tree_contains(expr: SetExpr, x: Q) -> bool:
-    """Membership by the tree itself, without normalizing: the reference
-    that the normal form's membership agrees with."""
-    if isinstance(expr, EmptySet):
-        return False
+def _tree_tester(expr: SetExpr) -> Callable[[Q], bool]:
     if isinstance(expr, Union):
-        return any(_tree_contains(a, x) for a in expr.args)
+        return _any_of([_tree_tester(a) for a in expr.args])
     if isinstance(expr, Intersection):
-        return all(_tree_contains(a, x) for a in expr.args)
+        return _all_of([_tree_tester(a) for a in expr.args])
     if isinstance(expr, Difference):
-        return _tree_contains(expr.left, x) and not _tree_contains(expr.right, x)
-    return expr.contains(x)
+        left, right = _tree_tester(expr.left), _tree_tester(expr.right)
+        return lambda x: left(x) and not right(x)
+    return _lazy(expr.tester)
 
 
 # --- local traces --------------------------------------------------------------

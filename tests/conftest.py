@@ -270,3 +270,68 @@ def mirror_fn(f: PiecewiseFn) -> PiecewiseFn:
     """x -> f(-x): every guard mirrored and every polynomial p(x) turned into p(-x)."""
     branches = tuple((mirror(g), _mirror_poly(p)) for g, p in f.branches)
     return PiecewiseFn(mirror(f.domain), branches, _mirror_poly(f.default))
+
+
+# --- independent references ------------------------------------------------------
+
+
+def _tree_contains(expr: SetExpr, x: Q) -> bool:
+    """Membership by the tree itself, without normalizing and without
+    membership(): each atom's tester is built afresh at each point.  The
+    reference that the compiled membership agrees with."""
+    if isinstance(expr, EmptySet):
+        return False
+    if isinstance(expr, Union):
+        return any(_tree_contains(a, x) for a in expr.args)
+    if isinstance(expr, Intersection):
+        return all(_tree_contains(a, x) for a in expr.args)
+    if isinstance(expr, Difference):
+        return _tree_contains(expr.left, x) and not _tree_contains(expr.right, x)
+    return expr.contains(x)
+
+
+def _divmod(a: list[Q], b: list[Q]) -> tuple[list[Q], list[Q]]:
+    """Quotient and remainder of coefficient lists, lowest degree first; b's
+    leading coefficient is nonzero."""
+    a, q = list(a), [Q(0)] * max(0, len(a) - len(b) + 1)
+    while a and len(a) >= len(b):
+        k, f = len(a) - len(b), a[-1] / b[-1]
+        q[k] = f
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def _derivative(c: list[Q]) -> list[Q]:
+    return [i * v for i, v in enumerate(c)][1:]
+
+
+def count_roots(p: Poly, lo: Q, hi: Q) -> int:
+    """Number of distinct real roots of p in the half-open interval (lo, hi],
+    from the Sturm chain of p's square-free part in Fraction arithmetic: a
+    reference that shares nothing with poly's integer root isolation."""
+    c = list(p.coeffs)
+    if not c:
+        return 0
+    g, h = c, _derivative(c)
+    while h:
+        g, h = h, _divmod(g, h)[1]
+    chain = [_divmod(c, g)[0]]  # g is gcd(p, p'), so this is p's square-free part
+    chain.append(_derivative(chain[0]))
+    while chain[-1]:
+        chain.append([-v for v in _divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+
+    def variations(x: Q) -> int:
+        signs = []
+        for poly in chain:
+            v = Q(0)
+            for coef in reversed(poly):
+                v = v * x + coef
+            if v:
+                signs.append(v > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(Q(lo)) - variations(Q(hi))

@@ -156,6 +156,7 @@ _BIG, _ODD = int("7" * 3000), int("3" * 2999 + "1")
         ["cardinality", "--set", "[0,1]", "--at", "0", "--radius", "-1"],
         ["estimate", "--set", "[0,1]", "--radius", "0"],
         ["estimate", "--set", "[0,1]", "--samples", "0"],
+        ["estimate", "--set", "[0,1]", "--at", "0", "--radius", "1", "--samples", "100000000"],
         ["measure", "--set", "(" * 3000 + "[0,1]" + ")" * 3000],
         ["measure", "--set", "[0,1]" + " \\ [5,6]" * 3000],
         ["classify", "--fn", "piecewise { 1 on " + "(" * 3000 + "Q(R)" + ")" * 3000 + "; else 0 }", "--at", "0"],
@@ -166,7 +167,7 @@ _BIG, _ODD = int("7" * 3000), int("3" * 2999 + "1")
         ["measure", "--set", f"family(1/n, 1/{10**30} + 1/n)"],
     ],
     ids=[
-        "radius-0", "radius-negative", "estimate-radius-0", "samples-0", "parens-3000", "differences-3000",
+        "radius-0", "radius-negative", "estimate-radius-0", "samples-0", "samples-100M", "parens-3000", "differences-3000",
         "fn-parens-3000", "numeral-4400-digits", "result-numeral-6000-digits", "sign-settled-past-2^62",
     ],
 )

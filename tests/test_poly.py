@@ -11,9 +11,9 @@ from limitlab import functions, poly
 from limitlab.decompose import decompose
 from limitlab.errors import LimitLabError
 from limitlab.limits import LimitType, classify
-from limitlab.poly import Poly, count_roots, isolate_roots, refine_root
+from limitlab.poly import Poly, isolate_roots, refine_root
 
-from conftest import corpus
+from conftest import corpus, count_roots
 
 
 def test_eval_and_arithmetic():

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from functools import partial
 
 import pytest
 
-from limitlab import sets
+from limitlab import sampling, sets
 from limitlab.analyzers import cardinality, density_at, measure
 from limitlab.decompose import decompose, verify_decomposition
 from limitlab.dsl import parse_set
@@ -26,7 +27,6 @@ from limitlab.sets import (
     RationalsIn,
     Sequence,
     Union,
-    _tree_contains,
     cantor_affine,
     cantor_meets_interval,
     contains,
@@ -45,7 +45,7 @@ from limitlab.sets import (
 )
 from limitlab.terms import Term
 
-from conftest import corpus, mirror, rand_set_expr, sample_rats
+from conftest import _tree_contains, corpus, mirror, rand_set_expr, sample_rats
 
 
 def test_interval_clipping_example():
@@ -475,6 +475,101 @@ def test_contains_refuses_only_where_a_point_reaches_the_refused_atom():
         contains(parse_set("seq(1/n - 30000/n^2)"), 1)
     with pytest.raises(UnsupportedIntersection, match="too large to materialize"):
         mc_measure(parse_set("seq(1/n - 30000/n^2)"), SampleConfig(7, 16, Q(0), Q(1)))
+
+
+def test_refused_tree_builds_each_atom_tester_once(monkeypatch):
+    builds = Counter()
+
+    def counted(build):
+        def tester(self):
+            builds[id(self)] += 1
+            return build(self)
+
+        return tester
+
+    for cls in (EmptySet, Interval, FinitePoints, RationalsIn, CantorAffine, Sequence, IntervalFamily):
+        monkeypatch.setattr(cls, "tester", counted(cls.tester))
+    rng = random.Random(23)
+    refused = []
+    for _ in range(400):
+        e = rand_set_expr(rng, 3)
+        try:
+            sets._normal(e)
+        except UnsupportedIntersection:
+            refused.append(e)
+    assert len(refused) >= 20
+    pad = sample_rats(random.Random(31), 64)
+    built = 0
+    for e in refused:
+        atoms = _atoms(e)
+        xs = list(dict.fromkeys([x for atom in atoms for x in _atom_probes(atom)] + pad))[:64]
+        member = membership(e)
+        builds.clear()
+        got = [_outcome(member, x) for x in xs]
+        in_tree = Counter(id(atom) for atom in atoms)
+        assert all(builds[k] <= n for k, n in in_tree.items()), e
+        built += sum(builds[k] for k in in_tree)
+        assert got == [_outcome(partial(_tree_contains, e), x) for x in xs], e
+    assert built > 2 * len(refused)
+    # a refused build is retried, and refuses alike, at each point that reaches its atom
+    member = membership(parse_set("[0, 1] | seq(1/n - 30000/n^2)"))
+    assert [_outcome(member, x) for x in (Q(2), Q(1, 2), Q(2))] == [
+        "sequence head too large to materialize", True, "sequence head too large to materialize"
+    ]
+
+
+
+def _old_box_candidates(atom, rng, center, spread, want):
+    box = atom.box()
+    lo, hi = box.lo, box.hi
+    if lo is None:
+        lo = center - spread if hi is None or center - spread < hi else hi - spread
+    if hi is None:
+        hi = center + spread if center + spread > lo else lo + spread
+    out = []
+    for _ in range(want):
+        den = rng.choice((64, 128, 256, 1024, 4096))
+        out.append(lo + (hi - lo) * Q(rng.randrange(1, den), den))
+    return out
+
+
+# negative and integer centers, spreads with large denominators
+_CENTERS = [(Q(0), Q(2)), (Q(-3), Q(1)), (Q(-7, 3), Q(5, 2**70 + 1)), (Q(4), Q(3**41, 7**30))]
+
+
+@pytest.mark.parametrize("center, spread", _CENTERS)
+def test_box_candidates_are_the_points_of_the_fraction_formula(center, spread):
+    atoms = [
+        interval(Q(-1, 3), Q(5, 7)),
+        interval(-5, Q(1, 2**40) + Q(1, 3**30)),
+        rationals_in(open_interval(Q(-9, 4), 0)),
+        FULL_LINE,
+        interval(None, Q(-11, 6), False, True),  # half-unbounded, on either side of the cut
+        interval(None, Q(10**9 + 1, 3), False, False),
+        interval(Q(1, 3), None, True, False),
+        rationals_in(interval(Q(-10**9, 7), None, False, False)),
+    ]
+    for seed, atom in enumerate(atoms):
+        got = atom.candidates(random.Random(seed), center, spread, 40)
+        assert got == _old_box_candidates(atom, random.Random(seed), center, spread, 40), atom
+        assert all(type(x) is Q for x in got)
+
+
+@pytest.mark.parametrize("center, spread", _CENTERS)
+def test_rejection_draws_are_the_points_of_the_fraction_formula(monkeypatch, center, spread):
+    # the fallback of sample_points on a tree that does not normalize
+    def refused(expr):
+        raise UnsupportedIntersection("refused")
+
+    drawn = []
+    monkeypatch.setattr(sampling, "_normal", refused)
+    monkeypatch.setattr(sampling, "membership", lambda expr: drawn.append)
+    assert sample_points(FULL_LINE, count=10, seed=5, center=center, spread=spread) == []
+    rng, old = random.Random(5), []
+    for _ in range(200):
+        den = rng.choice((64, 256, 1024, 4096))
+        old.append(center - spread + 2 * spread * Q(rng.randrange(0, den + 1), den))
+    assert drawn == old
 
 
 # --- cantor interval meets -----------------------------------------------------
