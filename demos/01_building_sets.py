@@ -9,6 +9,7 @@ from limitlab import (
     Difference,
     FULL_LINE,
     Intersection,
+    Interval,
     Union,
     cardinality,
     contains,
@@ -57,7 +58,8 @@ print("deep member:", probe, "->", contains(fam, probe))
 
 # Window traces: the engine's view of a set near a point, center excluded.
 trace = window_trace(Union((fam, points(0))), 0, Q(1, 8))
+solid = [p for p in trace.pieces if isinstance(p.core, Interval) and not p.removals]
 print("\ntrace at 0, radius 1/8:")
-print("  interval pieces:", len(trace.pieces))
-print("  residual atoms: ", len(trace.thin))
+print("  interval pieces:", len(solid))
+print("  residual pieces:", len(trace.pieces) - len(solid))
 print("  cardinality:    ", cardinality(trace))

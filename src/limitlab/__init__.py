@@ -33,7 +33,7 @@ from .sets import (
     Intersection,
     Interval,
     IntervalFamily,
-    LocalTrace,
+    Normal,
     RationalsIn,
     Sequence,
     SetExpr,
@@ -62,7 +62,6 @@ from .analyzers import (
 from .functions import (
     PiecewiseFn,
     SandwichSet,
-    arith,
     exceptional_set,
     fn_add,
     fn_div,

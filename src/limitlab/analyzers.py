@@ -19,7 +19,7 @@ from .sets import (
     FinitePoints,
     Interval,
     IntervalFamily,
-    LocalTrace,
+    Normal,
     Piece,
     SetExpr,
     _normal,
@@ -117,9 +117,9 @@ def measure(expr: SetExpr, target_gap: Q = Q(1, 2**40)) -> MeasureValue:
     return _pieces_measure(_normal(expr).pieces, target_gap)
 
 
-def trace_measure(trace: LocalTrace) -> MeasureValue:
-    """Measure of the window set represented by a trace."""
-    return _pieces_measure(trace.all_pieces())
+def trace_measure(trace: Normal) -> MeasureValue:
+    """Measure of a window trace."""
+    return _pieces_measure(trace.pieces)
 
 
 def _pieces_measure(pieces: tuple[Piece, ...], target_gap: Q = Q(1, 2**40)) -> MeasureValue:
@@ -150,15 +150,11 @@ def _pieces_measure(pieces: tuple[Piece, ...], target_gap: Q = Q(1, 2**40)) -> M
 # --- cardinality and accumulation ------------------------------------------------
 
 
-def cardinality(trace: LocalTrace) -> CardinalityClass:
+def cardinality(trace: Normal) -> CardinalityClass:
     """Cardinality class of a window trace."""
-    return cardinality_of_pieces(trace.all_pieces())
-
-
-def cardinality_of_pieces(pieces: tuple[Piece, ...]) -> CardinalityClass:
     count = 0
     countable = False
-    for piece in pieces:
+    for piece in trace.pieces:
         core = piece.core
         if core.kind in COUNTABLE_KINDS:
             countable = True
@@ -171,14 +167,14 @@ def cardinality_of_pieces(pieces: tuple[Piece, ...]) -> CardinalityClass:
     return card_finite(count)
 
 
-def has_no_accumulation_point(trace: LocalTrace) -> bool:
+def has_no_accumulation_point(trace: Normal) -> bool:
     """True iff the derived set of the trace is empty.
 
     Interval pieces, rationals, Cantor pieces, sequence tails and family
     tails all force an accumulation point (of the trace, not necessarily in
     it); only finite point sets survive.
     """
-    return all(isinstance(p.core, FinitePoints) for p in trace.all_pieces())
+    return all(isinstance(p.core, FinitePoints) for p in trace.pieces)
 
 
 # --- density ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import PrerequisiteNotMet, UnsupportedIntersection
 from .functions import PiecewiseFn, effective_regions, fn_evaluator, nonzero_set, punctured_window
 from .limits import LimitType, _bands, _region_germs, _status, check
 from .poly import Poly
-from .sets import EmptySet, Intersection, SetExpr, Union, normalize, window_trace
+from .sets import Intersection, Normal, Union, _normal, window_trace
 from .sampling import sample_points
 
 Q = Fraction
@@ -41,7 +41,7 @@ class Decomposition:
     g: PiecewiseFn
     h: PiecewiseFn
     delta0: Q
-    exceptional_union: SetExpr
+    exceptional_union: Normal
 
 
 def decompose(f: PiecewiseFn, a, L, t: LimitType) -> Decomposition:
@@ -72,10 +72,10 @@ def decompose(f: PiecewiseFn, a, L, t: LimitType) -> Decomposition:
         running = min(running, delta)
         window = punctured_window(a, running)
         for part, offset in zip(band, offsets):
-            clipped = normalize(Intersection((part, window)))
-            if not isinstance(clipped, EmptySet):
+            clipped = _normal(Intersection((part, window)))
+            if clipped.pieces:
                 h_branches.append((clipped, offset))
-    union = normalize(Union(tuple(part for part, _ in h_branches)))
+    union = _normal(Union(part for part, _ in h_branches))
     if h_branches:
         g = PiecewiseFn(f.domain, ((union, Poly.const(L)),) + f.branches, f.default)
     else:

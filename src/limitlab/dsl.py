@@ -39,6 +39,7 @@ from .sets import (
     Intersection,
     Interval,
     IntervalFamily,
+    Normal,
     RationalsIn,
     Sequence,
     SetExpr,
@@ -489,6 +490,8 @@ _LEVEL_UNION, _LEVEL_DIFF, _LEVEL_AND, _LEVEL_ATOM = 0, 1, 2, 3
 
 
 def _set_text(expr: SetExpr) -> tuple[str, int]:
+    if isinstance(expr, Normal):
+        return _set_text(expr.to_expr())
     if isinstance(expr, EmptySet):
         return "empty", _LEVEL_ATOM
     if isinstance(expr, Interval):

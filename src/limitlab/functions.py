@@ -26,14 +26,15 @@ from .sets import (
     Difference,
     EmptySet,
     Intersection,
-    Interval,
+    Normal,
     SetExpr,
     Union,
+    _normal,
     contains,
     interval,
     membership,
-    normalize,
     points,
+    punctured_window,
 )
 
 Q = Fraction
@@ -63,10 +64,10 @@ def indicator_fn(guard: SetExpr, domain: SetExpr = FULL_LINE) -> PiecewiseFn:
 
 @dataclass(frozen=True)
 class SandwichSet:
-    """inner ⊆ S ⊆ outer with |outer \\ inner| <= gap."""
+    """inner ⊆ S ⊆ outer with |outer \\ inner| <= gap, both normal forms."""
 
-    inner: SetExpr
-    outer: SetExpr
+    inner: Normal
+    outer: Normal
     gap: Q
 
     @property
@@ -98,22 +99,23 @@ def fn_eval(f: PiecewiseFn, x) -> Q:
 
 
 @lru_cache(maxsize=None)
-def effective_regions(f: PiecewiseFn) -> tuple[tuple[SetExpr, Poly], ...]:
-    """Disjoint (region, polynomial) pairs covering the domain exactly;
-    first-match overlap resolved by subtracting earlier guards."""
+def effective_regions(f: PiecewiseFn) -> tuple[tuple[Normal, Poly], ...]:
+    """Disjoint (region, polynomial) pairs covering the domain exactly, each
+    region a nonempty normal form; first-match overlap resolved by
+    subtracting earlier guards."""
     regions = []
     seen: list[SetExpr] = []
     for guard, p in f.branches:
         expr = Intersection((f.domain, guard))
         for earlier in seen:
             expr = Difference(expr, earlier)
-        regions.append((normalize(expr), p))
+        regions.append((_normal(expr), p))
         seen.append(guard)
     default_expr = f.domain
     for earlier in seen:
         default_expr = Difference(default_expr, earlier)
-    regions.append((normalize(default_expr), f.default))
-    return tuple((r, p) for r, p in regions if not isinstance(r, EmptySet))
+    regions.append((_normal(default_expr), f.default))
+    return tuple((r, p) for r, p in regions if r.pieces)
 
 
 # --- polynomial sign regions ----------------------------------------------------
@@ -173,21 +175,13 @@ def isolate_superlevel(p: Poly, L, eps) -> SandwichSet:
     if eps <= 0:
         raise ValueError("eps must be positive")
     if p.is_constant():
-        hit = abs(p.constant_value() - L) >= eps
-        e = FULL_LINE if hit else EMPTY
+        e = _normal(FULL_LINE if abs(p.constant_value() - L) >= eps else EMPTY)
         return SandwichSet(e, e, Q(0))
     upper = p - Poly.const(L + eps)  # p - L >= eps
     lower = Poly.const(L - eps) - p  # p - L <= -eps
     in1, out1, g1 = _sign_regions(upper)
     in2, out2, g2 = _sign_regions(lower)
-    inner = normalize(Union(tuple(in1 + in2))) if (in1 or in2) else EMPTY
-    outer = normalize(Union(tuple(out1 + out2))) if (out1 or out2) else EMPTY
-    return SandwichSet(inner, outer, g1 + g2)
-
-
-def punctured_window(a, delta) -> SetExpr:
-    a, delta = Q(a), Q(delta)
-    return Union((Interval(a - delta, a, False, False), Interval(a, a + delta, False, False)))
+    return SandwichSet(_normal(Union(in1 + in2)), _normal(Union(out1 + out2)), g1 + g2)
 
 
 def superlevel_sandwich(f: PiecewiseFn, L: Q, eps: Q, window: SetExpr | None = None) -> SandwichSet:
@@ -199,15 +193,13 @@ def superlevel_sandwich(f: PiecewiseFn, L: Q, eps: Q, window: SetExpr | None = N
     gap = Q(0)
     for region, p in effective_regions(f):
         sl = isolate_superlevel(p, L, eps)
-        if isinstance(sl.outer, EmptySet):
+        if not sl.outer.pieces:
             continue
-        if not isinstance(sl.inner, EmptySet):
+        if sl.inner.pieces:
             inner_parts.append(Intersection((region, sl.inner) + clip))
         outer_parts.append(Intersection((region, sl.outer) + clip))
         gap += sl.gap
-    inner = normalize(Union(tuple(inner_parts))) if inner_parts else EMPTY
-    outer = normalize(Union(tuple(outer_parts))) if outer_parts else EMPTY
-    return SandwichSet(inner, outer, gap)
+    return SandwichSet(_normal(Union(inner_parts)), _normal(Union(outer_parts)), gap)
 
 
 def exceptional_set(f: PiecewiseFn, a, L, delta, eps) -> SandwichSet:
@@ -240,26 +232,24 @@ def nonzero_set(f: PiecewiseFn) -> SandwichSet:
                 gap += hi - lo
         inner_parts.append(cut_inner)
         outer_parts.append(region)
-    inner = normalize(Union(tuple(inner_parts))) if inner_parts else EMPTY
-    outer = normalize(Union(tuple(outer_parts))) if outer_parts else EMPTY
     # exact rational roots removed from inner are also absent from the true
     # set, so only the refined enclosures contribute to the gap
-    return SandwichSet(inner, outer, gap)
+    return SandwichSet(_normal(Union(inner_parts)), _normal(Union(outer_parts)), gap)
 
 
 # --- arithmetic -----------------------------------------------------------------
 
 
 def _combine(f1: PiecewiseFn, f2: PiecewiseFn, op) -> PiecewiseFn:
-    if normalize(f1.domain) != normalize(f2.domain):
+    if _normal(f1.domain) != _normal(f2.domain):
         raise ValueError("binary arithmetic requires identical domains")
     regs1 = effective_regions(f1)
     regs2 = effective_regions(f2)
     branches = []
     for r1, p1 in regs1:
         for r2, p2 in regs2:
-            guard = normalize(Intersection((r1, r2)))
-            if isinstance(guard, EmptySet):
+            guard = _normal(Intersection((r1, r2)))
+            if not guard.pieces:
                 continue
             branches.append((guard, op(p1, p2)))
     if not branches:
@@ -279,8 +269,7 @@ def _check_nonvanishing(f: PiecewiseFn) -> None:
                 if contains(region, loc):
                     raise DivisionByPossiblyZero(f"divisor vanishes at {loc}")
             else:
-                probe = normalize(Intersection((region, interval(loc[0], loc[1]))))
-                if not isinstance(probe, EmptySet):
+                if _normal(Intersection((region, interval(loc[0], loc[1])))).pieces:
                     raise DivisionByPossiblyZero(
                         f"divisor may vanish inside ({loc[0]}, {loc[1]})"
                     )
@@ -315,11 +304,3 @@ def fn_div(f1: PiecewiseFn, f2: PiecewiseFn) -> PiecewiseFn:
                 "quotients are representable only for branchwise-constant divisors"
             )
     return _combine(f1, f2, lambda p, q: p.scale(1 / q.constant_value()))
-
-
-def arith(f1: PiecewiseFn, f2: PiecewiseFn, op) -> PiecewiseFn:
-    """op: '+', '-', '*', '/', or ('scale', lam)."""
-    if isinstance(op, tuple) and op[0] == "scale":
-        return fn_scale(f1, op[1])
-    table = {"+": fn_add, "-": fn_sub, "*": fn_mul, "/": fn_div}
-    return table[op](f1, f2)

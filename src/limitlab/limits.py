@@ -39,10 +39,10 @@ from .sets import (
     COUNTABLE_KINDS,
     NULL_KINDS,
     Intersection,
+    Normal,
     SetExpr,
     Union,
     _normal,
-    normalize,
     piece_reaches,
     vanish_radius,
 )
@@ -122,12 +122,12 @@ def _germ_small(expr: SetExpr, a: Q, t: LimitType) -> bool | None:
     return _reaching_kinds(expr, a) <= _SMALL_KINDS.get(t, frozenset())
 
 
-def _witness_delta(expr: SetExpr, a: Q, t: LimitType) -> Q | None:
-    """A concrete radius at which the trace of expr is t-small."""
+def _witness_delta(normal: Normal, a: Q, t: LimitType) -> Q | None:
+    """A concrete radius at which the trace of the set is t-small."""
     if t is LimitType.T2:
         return Q(1)
     allowed = _SMALL_KINDS.get(t, frozenset())
-    blockers = tuple(p for p in _normal(expr).pieces if p.core.germ_kind(a) not in allowed)
+    blockers = tuple(p for p in normal.pieces if p.core.germ_kind(a) not in allowed)
     return vanish_radius(blockers, a)
 
 
@@ -183,9 +183,9 @@ def _bands(f: PiecewiseFn, a: Q, L: Q, t: LimitType):
     for eps in _test_epsilons(f, a, L):
         parts = tuple(Intersection((region, isolate_superlevel(p, L, eps).outer)) for region, p in regions)
         try:
-            delta = _witness_delta(normalize(Union(parts)), a, t)
+            delta = _witness_delta(_normal(Union(parts)), a, t)
         except UnsupportedIntersection:
-            deltas = [_witness_delta(normalize(part), a, t) for part in parts]
+            deltas = [_witness_delta(_normal(part), a, t) for part in parts]
             delta = None if None in deltas else min(deltas)
         yield eps, delta, parts
 

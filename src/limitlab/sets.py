@@ -10,7 +10,12 @@ rather than approximating.
 Normalization produces a canonical disjoint "piece" list.  A piece is an
 atom, optionally minus a list of measure-zero removal atoms; co-countable
 sets such as the irrationals in a window are therefore representable, which
-the limit engine needs to certify failure verdicts.
+the limit engine needs to certify failure verdicts.  The list is held by a
+Normal, which is a set expression node itself: _normal(n) is n, so the other
+modules take and return normal forms, and build larger trees on them,
+without printing them into trees to be normalized again.  Only the public
+normalize() and the text of a set print a Normal into a tree of atoms
+(Normal.to_expr).
 
 Every atom carries its own facts, so no other module asks an atom for its
 class: `kind` and `rank` (its germ kind and its place in a normal form),
@@ -1215,8 +1220,15 @@ def piece_tester(piece: Piece) -> Callable[[Q], bool]:
 
 
 @dataclass(frozen=True)
-class Normal:
+class Normal(SetExpr):
+    """A normal form: the union of its disjoint pieces, sorted by
+    _piece_rank.  A set expression node that _normal returns unchanged;
+    to_expr() prints it as a tree of atoms, for normalize() and text only."""
+
     pieces: tuple[Piece, ...]
+
+    def tester(self) -> Callable[[Q], bool]:
+        return _any_of([piece_tester(p) for p in self.pieces])
 
     def to_expr(self) -> SetExpr:
         if not self.pieces:
@@ -1387,13 +1399,7 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
     if tb is Sequence:
         if ta is Sequence:
             if a.term == b.term:
-                if b.start <= a.start:
-                    return []
-                span = b.start - a.start
-                if span > MAX_MATERIALIZE:
-                    raise UnsupportedIntersection("sequence head too large to materialize")
-                head = tuple(sorted({a.term.eval(n) for n in range(a.start, b.start)}))
-                return [Piece(FinitePoints(head), ())] if head else []
+                return [Piece(m, ()) for m in _members(a, b.start)]
             shared = _seq_shared_values(a, b)
             return _subtract_points(a, shared) if shared else [Piece(a, ())]
         if ta in (Interval, RationalsIn, IntervalFamily):
@@ -1512,8 +1518,7 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
     solids: list[Interval] = []
     removal_ivs: list[Piece] = []
     pts: set[Q] = set()
-    q_plain: list[Interval] = []
-    q_removal: list[Piece] = []
+    rats: list[Piece] = []
     cantors: list[Piece] = []
     seqs: list[Piece] = []
     fams: list[Piece] = []
@@ -1541,16 +1546,12 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
                 work.extend(reduced)
                 continue
             rp = reduced[0]
-            if isinstance(core, Interval):
-                if rp.removals:
-                    removal_ivs.append(rp)
-                else:
-                    solids.append(core)
+            if isinstance(core, RationalsIn):
+                rats.append(rp)
+            elif rp.removals:
+                removal_ivs.append(rp)
             else:
-                if rp.removals:
-                    q_removal.append(rp)
-                else:
-                    q_plain.append(core.iv)
+                solids.append(core)
         elif isinstance(core, FinitePoints):
             add_points(core.points, p.removals)
         elif isinstance(core, CantorAffine):
@@ -1626,13 +1627,10 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
             if not _iv_disjoint(fp.core.box(), rp.core):
                 raise UnsupportedIntersection("family tail overlaps a co-thin region")
 
-    # rationals: merge, then subtract solid cover
+    # rationals: merge the plain ones (no removals), then subtract solid cover
     q_out: list[Piece] = []
-    for qiv in merge_intervals(q_plain):
-        segs, ends = _uncovered(qiv, solids)
-        pts.update(ends)
-        q_out.extend(Piece(RationalsIn(seg), ()) for seg in segs)
-    for qp in q_removal:
+    merged = merge_intervals([qp.core.iv for qp in rats if not qp.removals])
+    for qp in [Piece(RationalsIn(iv), ()) for iv in merged] + [qp for qp in rats if qp.removals]:
         segs, ends = _uncovered(qp.core.iv, solids)
         add_points(ends, qp.removals)
         q_out.extend(Piece(RationalsIn(seg), _clean_removals(seg, qp.removals)) for seg in segs)
@@ -1766,6 +1764,8 @@ def _normal(expr: SetExpr) -> Normal:
 
 
 def _normal_of(expr: SetExpr) -> Normal:
+    if isinstance(expr, Normal):
+        return expr
     if isinstance(expr, EmptySet):
         return Normal(())
     if isinstance(expr, (Interval, RationalsIn)) or (
@@ -1805,7 +1805,8 @@ def _normal_of(expr: SetExpr) -> Normal:
 
 
 def normalize(expr: SetExpr) -> SetExpr:
-    """Canonical disjoint-union form; idempotent."""
+    """The normal form printed as a tree of atoms, for the public API; the
+    package itself passes the Normal of _normal on."""
     return _normal(expr).to_expr()
 
 
@@ -1818,10 +1819,10 @@ def membership(expr: SetExpr) -> Callable[[Q], bool]:
     first point that reaches it.  A build that refuses raises the same
     UnsupportedIntersection at each point that reaches the atom."""
     try:
-        pieces = _normal(expr).pieces
+        normal = _normal(expr)
     except UnsupportedIntersection:
         return _tree_tester(expr)
-    return _any_of([piece_tester(p) for p in pieces])
+    return normal.tester()
 
 
 def contains(expr: SetExpr, x) -> bool:
@@ -1846,33 +1847,17 @@ def _tree_tester(expr: SetExpr) -> Callable[[Q], bool]:
 # --- local traces --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalTrace:
-    """Exact normal form of expr ∩ ((a - delta, a + delta) minus {a})."""
-
-    center: Q
-    radius: Q
-    pieces: tuple[Interval, ...]  # plain interval parts, disjoint, sorted
-    thin: tuple[Piece, ...]  # everything else (clipped, center excluded)
-
-    def all_pieces(self) -> tuple[Piece, ...]:
-        return tuple(Piece(iv, ()) for iv in self.pieces) + self.thin
-
-
-def window_trace(expr: SetExpr, a, delta) -> LocalTrace:
+def punctured_window(a, delta) -> SetExpr:
     a, delta = Q(a), Q(delta)
-    if delta <= 0:
+    return Union((Interval(a - delta, a, False, False), Interval(a, a + delta, False, False)))
+
+
+def window_trace(expr: SetExpr, a, delta) -> Normal:
+    """The normal form of expr ∩ ((a - delta, a + delta) minus {a}): the set
+    a limit type asks to be small, whose pieces the analyzers read."""
+    if Q(delta) <= 0:
         raise RangeError("window radius must be positive")
-    window = Union((Interval(a - delta, a, False, False), Interval(a, a + delta, False, False)))
-    clipped = _normal(Intersection((expr, window)))
-    ivs = []
-    thin = []
-    for p in clipped.pieces:
-        if isinstance(p.core, Interval) and not p.removals:
-            ivs.append(p.core)
-        else:
-            thin.append(p)
-    return LocalTrace(a, delta, tuple(ivs), tuple(thin))
+    return _normal(Intersection((expr, punctured_window(a, delta))))
 
 
 # --- accumulation structure at a point ------------------------------------------

@@ -8,10 +8,10 @@ import pytest
 from limitlab import sampling, sets
 from limitlab.analyzers import cardinality, density_at, measure
 from limitlab.decompose import decompose, verify_decomposition
-from limitlab.dsl import parse_set
+from limitlab.dsl import parse_set, set_to_text
 from limitlab.errors import UnsupportedIntersection
 from limitlab.functions import effective_regions
-from limitlab.limits import LimitType, classify
+from limitlab.limits import LimitType, check, classify
 from limitlab.oracle import SampleConfig, mc_measure
 from limitlab.sampling import sample_points
 from limitlab.sets import (
@@ -24,6 +24,8 @@ from limitlab.sets import (
     Intersection,
     Interval,
     IntervalFamily,
+    Normal,
+    Piece,
     RationalsIn,
     Sequence,
     Union,
@@ -207,12 +209,24 @@ def _atom_probes(atom):
     return [v for b in boxes for v in (b.lo, b.hi) if v is not None]
 
 
+def _printed(expr):
+    """expr with each normal form in it printed as its tree of atoms, so
+    that _tree_contains tests atoms and never the testers of pieces."""
+    if isinstance(expr, Normal):
+        return expr.to_expr()
+    if isinstance(expr, (Union, Intersection)):
+        return type(expr)(_printed(a) for a in expr.args)
+    if isinstance(expr, Difference):
+        return Difference(_printed(expr.left), _printed(expr.right))
+    return expr
+
+
 def _sets_normalized_by_the_fixtures(monkeypatch, fixtures):
     seen = {}
     body = sets._normal_of
 
     def recorded(expr):
-        seen[expr] = None
+        seen[_printed(expr)] = None
         return body(expr)
 
     monkeypatch.setattr(sets, "_refusals", {})
@@ -232,7 +246,7 @@ def _sets_normalized_by_the_fixtures(monkeypatch, fixtures):
 def _corpus_sets():
     out = []
     for f, a in corpus(11, 60):
-        out.extend(region for region, _ in effective_regions(f))
+        out.extend(region.to_expr() for region, _ in effective_regions(f))
         rep = classify(f, a)
         for t in (LimitType.T5, LimitType.T6):
             out_t = rep.outcomes[t]
@@ -242,8 +256,8 @@ def _corpus_sets():
                 d = decompose(f, a, out_t.value, t)
             except UnsupportedIntersection:
                 continue
-            out.append(d.exceptional_union)
-            out.extend(guard for guard, _ in d.h.branches)
+            out.append(d.exceptional_union.to_expr())
+            out.extend(guard.to_expr() for guard, _ in d.h.branches)
     return out
 
 
@@ -603,19 +617,18 @@ def test_cantor_meets_agrees_with_contains():
 
 def test_window_trace_examples(omega_set):
     tr = window_trace(Union((interval(0, 1), points(5))), 0, Q(1, 2))
-    assert tr.pieces == (Interval(Q(0), Q(1, 2), False, False),)
-    assert tr.thin == ()
+    assert tr.pieces == (Piece(Interval(Q(0), Q(1, 2), False, False)),)
 
     tr2 = window_trace(FULL_LINE, 1, 1)
     assert tr2.pieces == (
-        Interval(Q(0), Q(1), False, False),
-        Interval(Q(1), Q(2), False, False),
+        Piece(Interval(Q(0), Q(1), False, False)),
+        Piece(Interval(Q(1), Q(2), False, False)),
     )
 
     tr3 = window_trace(omega_set, 0, Q(1, 4))
     # members with index <= 4 lie outside/straddle; a symbolic tail remains
-    assert any(hasattr(p.core, "start") for p in tr3.thin)
-    assert all(iv.lo >= 0 for iv in tr3.pieces)
+    assert any(hasattr(p.core, "start") for p in tr3.pieces)
+    assert all(p.core.lo >= 0 for p in tr3.pieces if isinstance(p.core, Interval))
 
 
 def test_window_trace_monotone_in_radius():
@@ -629,8 +642,8 @@ def test_window_trace_monotone_in_radius():
             small = window_trace(expr, a, Q(1, 3))
         except UnsupportedIntersection:
             continue
-        small_tests = [piece_tester(p) for p in small.all_pieces()]
-        big_tests = [piece_tester(p) for p in big.all_pieces()]
+        small_tests = [piece_tester(p) for p in small.pieces]
+        big_tests = [piece_tester(p) for p in big.pieces]
         for x in pts:
             if any(t(x) for t in small_tests):
                 assert 0 < abs(x - a) < Q(1, 3)
@@ -639,7 +652,7 @@ def test_window_trace_monotone_in_radius():
 
 def test_trace_excludes_center():
     tr = window_trace(interval(-1, 1), 0, Q(1, 2))
-    for piece in tr.all_pieces():
+    for piece in tr.pieces:
         assert not piece_tester(piece)(Q(0))
 
 
@@ -698,7 +711,7 @@ def _germ_pieces():
 
 def _trace_or_none(expr, a, radius):
     try:
-        return window_trace(expr, a, radius).all_pieces()
+        return window_trace(expr, a, radius).pieces
     except UnsupportedIntersection:
         return None
 
@@ -788,6 +801,63 @@ def test_union_with_itself_has_the_same_measure():
     tail = "family(1/n - (1/2)^n, 1/n)"
     assert measure(parse_set(tail)).value == Q(69, 80)
     assert measure(parse_set(f"{tail} | {tail}")).value == Q(69, 80)
+
+
+# --- normal forms are values -----------------------------------------------------------
+
+
+def test_the_engine_passes_normal_forms_without_printing_them(monkeypatch, dirichlet, cantor_indicator, omega_indicator):
+    # a normal form handed from one module to the next is never printed into
+    # a tree of atoms to be normalized again
+    printed = Counter()
+    to_expr = Normal.to_expr
+
+    def counted(self):
+        printed[self] += 1
+        return to_expr(self)
+
+    monkeypatch.setattr(Normal, "to_expr", counted)
+    cases = [(f, Q(0)) for f in (dirichlet, cantor_indicator, omega_indicator)] + corpus(11, 60)
+    passed = verified = 0
+    for f, a in cases:
+        rep = classify(f, a)
+        for t in LimitType:
+            out = rep.outcomes[t]
+            if out.exists != "yes":
+                continue
+            assert check(f, a, out.value, t).passed()
+            passed += 1
+            if t not in (LimitType.T5, LimitType.T6):
+                continue
+            try:
+                d = decompose(f, a, out.value, t)
+                assert verify_decomposition(d, f, a, out.value, t, probes=100)
+            except UnsupportedIntersection:
+                continue
+            verified += 1
+    assert passed > 250 and verified > 90
+    assert not printed
+
+
+def test_a_normal_form_is_its_own_normal_form():
+    # _normal hands a normal form back unchanged, and it prints as its tree,
+    # alone and inside a larger tree
+    rng = random.Random(43)
+    exprs = [rand_set_expr(rng, 3) for _ in range(300)]
+    checked = 0
+    for e in exprs + [mirror(e) for e in exprs]:
+        try:
+            n = sets._normal(e)
+        except UnsupportedIntersection:
+            continue
+        sets._normal.cache_clear()  # an equal normal form cached earlier would be returned instead
+        assert sets._normal(n) is n
+        tree = n.to_expr()
+        assert set_to_text(n) == set_to_text(tree)
+        outer = Difference(Intersection((n, interval(-1, 1))), Union((n, points(7))))
+        assert set_to_text(outer) == set_to_text(Difference(Intersection((tree, interval(-1, 1))), Union((tree, points(7)))))
+        checked += 1
+    assert checked > 500
 
 
 # --- refusals are remembered next to normal forms -------------------------------------
