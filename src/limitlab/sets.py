@@ -30,9 +30,10 @@ atoms of a normal form, whose tails are canonical.
 Membership is resolved once per set: every atom's tester() is an exact
 point test with what depends on the atom alone worked out up front (interval
 ends as integers compared by cross-multiplication, a sequence's or family's
-head, canonical tail and distance range), and membership(expr) joins the
-testers of the normal form's pieces into one.  A lookup that can refuse runs
-on the first point that reaches its atom.
+head testers, canonical tail and distance range, a Cantor image's offset and
+scale as integers), and membership(expr) joins the testers of the normal
+form's pieces into one.  A lookup that can refuse runs on the first point
+that reaches its atom.
 
 A sequence is an interval family whose members are single closed points,
 so both kinds share one tail layer.  _resolve splits either, once, into a
@@ -53,6 +54,12 @@ c*r^n it is estimated from logarithms and confirmed by exact integer
 comparisons.  Any other term, or an estimate that is not confirmed, gallops
 over exact comparisons.  No estimate decides an answer by itself, and a
 search past start + 2^62 refuses.
+
+One integer walk over ternary digits (_cantor_walk) answers every question
+about the middle-thirds Cantor set: membership, the sides it accumulates
+from, and the gap around a non-member.  An open interval is connected, so
+it misses the set exactly when it lies in the gap around its midpoint; no
+search over construction bricks, and no depth bound.
 """
 
 from __future__ import annotations
@@ -71,7 +78,6 @@ Q = Fraction
 
 # Hard cap on how many family/sequence members may be expanded explicitly.
 MAX_MATERIALIZE = 20000
-_CANTOR_DFS_DEPTH = 400
 
 
 class SetExpr:
@@ -246,8 +252,19 @@ class CantorAffine(SetExpr):
         return (x - self.offset) / self.scale
 
     def tester(self) -> Callable[[Q], bool]:
-        in_box, offset, scale = self.box().tester(), self.offset, self.scale
-        return lambda x: in_box(x) and cantor_unit_info((x - offset) / scale)[0]
+        # u = (x - offset)/scale as the integer pair num/den, by
+        # cross-multiplication, with den > 0; a point in the box has u in
+        # [0, 1], where the digit walk applies
+        in_box = self.box().tester()
+        on, od = self.offset.numerator, self.offset.denominator
+        sn, sd = self.scale.numerator, self.scale.denominator
+        num_k, den_k = (sd, od * sn) if sn > 0 else (-sd, -od * sn)
+
+        def test(x: Q) -> bool:
+            n, d = x.numerator, x.denominator
+            return in_box(x) and _cantor_walk((n * od - on * d) * num_k, d * den_k)[0]
+
+        return test
 
     def reaches(self, a: Q) -> bool:
         member, accL, accR = cantor_unit_info(self.to_base(a))[:3]
@@ -650,7 +667,35 @@ def _iv_distance(iv: Interval, a: Q) -> Q:
 # --- Cantor set machinery ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _cantor_walk(num: int, den: int) -> tuple[bool, bool, bool, tuple[int, int] | None]:
+    """(member, accumulates-from-left, accumulates-from-right, gap) of the
+    point num/den of [0, 1] (den > 0, 0 <= num <= den, not necessarily in
+    lowest terms), from its ternary digits in integers.
+
+    b holds the digits read so far, all 0 or 2, as an integer.  At the
+    first digit 1 at level k that does not end the expansion, the point lies
+    in the gap ((3b+1)/3^k, (3b+2)/3^k), returned as the pair (b, k); None
+    for members.  A repeated remainder means the digits cycle without a 1.
+    """
+    if num == den:
+        return True, True, False, None  # digits end in 2s: brick right end
+    b, k, seen = 0, 0, set()
+    while True:
+        if num == 0:
+            return True, False, True, None  # digits end in 0s: brick left end
+        if num in seen:
+            return True, True, True, None  # periodic with both digits present
+        seen.add(num)
+        d, num = divmod(3 * num, den)
+        k += 1
+        if d == 1:
+            if num == 0:
+                # exactly the lower third point: rewrite ...1 as ...0222...
+                return True, True, False, None
+            return False, False, False, (b, k)
+        b = 3 * b + d
+
+
 def cantor_unit_info(x: Q) -> tuple[bool, bool, bool, tuple[Q | None, Q | None] | None]:
     """(member, accumulates-from-left, accumulates-from-right, gap).
 
@@ -661,82 +706,31 @@ def cantor_unit_info(x: Q) -> tuple[bool, bool, bool, tuple[Q | None, Q | None] 
         return False, False, False, (None, Q(0))
     if x > 1:
         return False, False, False, (Q(1), None)
-    num, den = x.numerator, x.denominator
-    base, width = Q(0), Q(1)
-    seen = set()
-    while True:
-        if num == 0:
-            return True, False, True, None  # digits end in 0s: brick left end
-        if num == den:
-            return True, True, False, None  # digits end in 2s: brick right end
-        if num in seen:
-            return True, True, True, None  # periodic with both digits present
-        seen.add(num)
-        d, r = divmod(3 * num, den)
-        width /= 3
-        if d == 1:
-            if r == 0:
-                # exactly the lower third point: rewrite ...1 as ...0222...
-                return True, True, False, None
-            return False, False, False, (base + width, base + 2 * width)
-        base += d * width
-        num = r
+    member, acc_l, acc_r, gap = _cantor_walk(x.numerator, x.denominator)
+    if gap is not None:
+        b, k = gap
+        gap = (Q(3 * b + 1, 3**k), Q(3 * b + 2, 3**k))
+    return member, acc_l, acc_r, gap
 
 
-def _cantor_unit_meets_open(lo: Q | None, hi: Q | None) -> bool:
-    """Does the unit Cantor set meet the open interval (lo, hi)?
+def _cantor_meets_open(lo: Q, hi: Q) -> bool:
+    """Does the unit Cantor set meet the open interval (lo, hi), lo < hi?
 
-    Breadth-first over construction bricks: a brick strictly inside the
-    interval proves (uncountable) intersection; disjoint bricks are cut; at
-    most two straddling bricks per level survive, and each straddle chain
-    dies at the depth where the endpoint's ternary digits decide it.
+    An open interval is connected, so it misses the set exactly when it
+    lies in the gap around its midpoint.  A midpoint outside [0, 1], in an
+    unbounded gap, puts the end 0 or 1 inside the interval.
     """
-    if hi is not None and hi <= 0:
+    if hi <= 0 or lo >= 1:
         return False
-    if lo is not None and lo >= 1:
-        return False
-    level = [Q(0)]
-    width = Q(1)
-    for _ in range(_CANTOR_DFS_DEPTH):
-        nxt = []
-        for b_lo in level:
-            b_hi = b_lo + width
-            if (hi is not None and b_lo >= hi) or (lo is not None and b_hi <= lo):
-                continue
-            if (lo is None or lo < b_lo) and (hi is None or b_hi < hi):
-                return True
-            nxt.append(b_lo)
-        if not nxt:
-            return False
-        width /= 3
-        level = []
-        for b_lo in nxt:
-            level.append(b_lo)
-            level.append(b_lo + 2 * width)
-    raise UnsupportedIntersection(
-        "Cantor brick search exceeded depth bound; interval endpoints too deep"
-    )
+    member, _, _, gap = cantor_unit_info((lo + hi) / 2)
+    if member or gap[0] is None or gap[1] is None:
+        return True
+    return not (gap[0] <= lo and hi <= gap[1])
 
 
 def cantor_meets_interval(atom: CantorAffine, iv: Interval) -> bool:
     """Exact emptiness test for the clipped affine Cantor image against iv."""
     return not isinstance(_clip_cantor(atom, iv), EmptySet)
-
-
-def _to_base_interval(atom: CantorAffine, iv: Interval) -> tuple[Q | None, Q | None]:
-    lo = None if iv.lo is None else atom.to_base(iv.lo)
-    hi = None if iv.hi is None else atom.to_base(iv.hi)
-    if atom.scale < 0:
-        lo, hi = hi, lo
-    return lo, hi
-
-
-def box_incl_lo(atom: CantorAffine, iv: Interval) -> bool:
-    return iv.lo_incl if atom.scale > 0 else iv.hi_incl
-
-
-def box_incl_hi(atom: CantorAffine, iv: Interval) -> bool:
-    return iv.hi_incl if atom.scale > 0 else iv.lo_incl
 
 
 def cantor_affine(offset, scale, clip: Interval | None = None) -> SetExpr:
@@ -755,19 +749,16 @@ def _clip_cantor(atom: CantorAffine, iv: Interval) -> SetExpr:
     if isinstance(box, EmptySet):
         return EMPTY
     if isinstance(box, FinitePoints):
-        kept = tuple(p for p in box.points if atom.contains(p))
-        return FinitePoints(kept) if kept else EMPTY
-    lo, hi = _to_base_interval(atom, box)
-    if _cantor_unit_meets_open(lo, hi):
-        if _iv_covers(box, atom.span()):
-            return CantorAffine(atom.offset, atom.scale, None)
-        return CantorAffine(atom.offset, atom.scale, box)
-    pts = []
-    if box_incl_lo(atom, box) and cantor_unit_info(lo)[0]:
-        pts.append(atom.offset + atom.scale * lo)
-    if box_incl_hi(atom, box) and cantor_unit_info(hi)[0]:
-        pts.append(atom.offset + atom.scale * hi)
-    return points(*pts) if pts else EMPTY
+        pts = [(p, True) for p in box.points]
+    else:
+        # the atom's box is bounded, so box is a bounded, nondegenerate interval
+        if _cantor_meets_open(*sorted((atom.to_base(box.lo), atom.to_base(box.hi)))):
+            if _iv_covers(box, atom.span()):
+                return CantorAffine(atom.offset, atom.scale, None)
+            return CantorAffine(atom.offset, atom.scale, box)
+        pts = [(box.lo, box.lo_incl), (box.hi, box.hi_incl)]
+    test = atom.tester()
+    return points(*(p for p, incl in pts if incl and test(p)))
 
 
 # --- sequence and family tails ---------------------------------------------
@@ -1119,15 +1110,11 @@ def _member_at(start: int, info: TailInfo, a: int, b: int) -> int | None:
 
 
 def _tail_tester(atom: _Tail) -> Callable[[Q], bool]:
-    """Membership in a sequence or family: the pieces of its head, tested
-    in turn (a tree walk builds this test for one point), then the member
-    lookup of its canonical tail, which only points within the tail's
-    distance range reach."""
+    """Membership in a sequence or family: the testers of its head's pieces,
+    built once and tried in turn, then the member lookup of its canonical
+    tail, which only points within the tail's distance range reach."""
     head, tail, info = _resolve(atom)
-
-    def in_head(x: Q) -> bool:
-        return any(piece_tester(h)(x) for h in head)
-
+    in_head = _any_of([piece_tester(h) for h in head]) if head else _never
     if tail is None:
         return in_head
     start, near, far, near_incl, far_incl = tail.start, info.near, info.far, info.near_incl, info.far_incl
@@ -1135,7 +1122,7 @@ def _tail_tester(atom: _Tail) -> Callable[[Q], bool]:
     fn, fd = first.numerator, first.denominator
 
     def test(x: Q) -> bool:
-        if head and in_head(x):
+        if in_head(x):
             return True
         a, b = info.coords(x)
         if a <= 0 or a * fd > fn * b:

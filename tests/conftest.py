@@ -1,4 +1,6 @@
-"""Shared fixtures: the three separating reference functions and seeded corpora."""
+"""Shared fixtures: the three separating reference functions, seeded corpora,
+the reflection and translation of sets and functions, and independent
+references that the engine is checked against."""
 
 from __future__ import annotations
 
@@ -7,6 +9,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from limitlab.errors import UnsupportedIntersection
 from limitlab.functions import PiecewiseFn, indicator_fn
 from limitlab.poly import Poly
 from limitlab.sets import (
@@ -272,6 +275,55 @@ def mirror_fn(f: PiecewiseFn) -> PiecewiseFn:
     return PiecewiseFn(mirror(f.domain), branches, _mirror_poly(f.default))
 
 
+# --- translation x -> x + c, built independently of the engine ---------------------
+
+
+def _shift(v: Q | None, c: Q) -> Q | None:
+    return None if v is None else v + c
+
+
+def translate(expr: SetExpr, c: Q) -> SetExpr:
+    """The set {x + c : x in expr}, node by node."""
+    if isinstance(expr, EmptySet):
+        return EMPTY
+    if isinstance(expr, Interval):
+        return Interval(_shift(expr.lo, c), _shift(expr.hi, c), expr.lo_incl, expr.hi_incl)
+    if isinstance(expr, FinitePoints):
+        return FinitePoints(tuple(p + c for p in expr.points))
+    if isinstance(expr, RationalsIn):
+        return RationalsIn(translate(expr.iv, c))
+    if isinstance(expr, CantorAffine):
+        clip = None if expr.clip is None else translate(expr.clip, c)
+        return CantorAffine(expr.offset + c, expr.scale, clip)
+    if isinstance(expr, Sequence):
+        return Sequence(expr.term + Term.constant(c), expr.start)
+    if isinstance(expr, IntervalFamily):
+        shift = Term.constant(c)
+        return IntervalFamily(expr.lo + shift, expr.hi + shift, expr.lo_incl, expr.hi_incl, expr.start)
+    if isinstance(expr, Union):
+        return Union(tuple(translate(a, c) for a in expr.args))
+    if isinstance(expr, Intersection):
+        return Intersection(tuple(translate(a, c) for a in expr.args))
+    if isinstance(expr, Difference):
+        return Difference(translate(expr.left, c), translate(expr.right, c))
+    raise TypeError(f"cannot translate {expr!r}")
+
+
+def _translate_poly(p: Poly, c: Q) -> Poly:
+    """p(x - c), by Horner's rule."""
+    out, x_minus_c = Poly.const(0), Poly.make([-c, 1])
+    for coef in reversed(p.coeffs):
+        out = out * x_minus_c + Poly.const(coef)
+    return out
+
+
+def translate_fn(f: PiecewiseFn, c: Q) -> PiecewiseFn:
+    """x -> f(x - c): every guard translated by c and every polynomial p(x)
+    turned into p(x - c)."""
+    branches = tuple((translate(g, c), _translate_poly(p, c)) for g, p in f.branches)
+    return PiecewiseFn(translate(f.domain, c), branches, _translate_poly(f.default, c))
+
+
 # --- independent references ------------------------------------------------------
 
 
@@ -288,6 +340,43 @@ def _tree_contains(expr: SetExpr, x: Q) -> bool:
     if isinstance(expr, Difference):
         return _tree_contains(expr.left, x) and not _tree_contains(expr.right, x)
     return expr.contains(x)
+
+
+# The brick search gives up past this many construction levels.
+_CANTOR_BRICK_DEPTH = 400
+
+
+def cantor_bricks_meet_open(lo: Q, hi: Q) -> bool:
+    """Does the unit Cantor set meet the open interval (lo, hi)?
+
+    Breadth-first over construction bricks: a brick strictly inside the
+    interval proves (uncountable) intersection; disjoint bricks are cut; at
+    most two straddling bricks per level survive, and each straddle chain
+    dies at the depth where the endpoint's ternary digits decide it.  A
+    reference that shares nothing with the engine's midpoint gap test; it
+    refuses past _CANTOR_BRICK_DEPTH levels.
+    """
+    if hi <= 0 or lo >= 1:
+        return False
+    level = [Q(0)]
+    width = Q(1)
+    for _ in range(_CANTOR_BRICK_DEPTH):
+        nxt = []
+        for b_lo in level:
+            b_hi = b_lo + width
+            if b_lo >= hi or b_hi <= lo:
+                continue
+            if lo < b_lo and b_hi < hi:
+                return True
+            nxt.append(b_lo)
+        if not nxt:
+            return False
+        width /= 3
+        level = []
+        for b_lo in nxt:
+            level.append(b_lo)
+            level.append(b_lo + 2 * width)
+    raise UnsupportedIntersection("Cantor brick search exceeded depth bound")
 
 
 def _divmod(a: list[Q], b: list[Q]) -> tuple[list[Q], list[Q]]:

@@ -47,7 +47,7 @@ from limitlab.sets import (
 )
 from limitlab.terms import Term
 
-from conftest import _tree_contains, corpus, mirror, rand_set_expr, sample_rats
+from conftest import _tree_contains, cantor_bricks_meet_open, corpus, mirror, rand_set_expr, sample_rats
 
 
 def test_interval_clipping_example():
@@ -532,6 +532,31 @@ def test_refused_tree_builds_each_atom_tester_once(monkeypatch):
     ]
 
 
+def test_tail_head_testers_are_built_once(monkeypatch):
+    # Cantor minus rationals is outside the algebra, so each union is tested
+    # node by node and the tail's tester resolves the atom itself, head and all
+    refused = parse_set("cantor(0, 1) \\ Q((0, 1))")
+    xs = sample_rats(random.Random(37), 64, -1, 1)
+    builds = Counter()
+    body = sets.piece_tester
+
+    def counted(piece):
+        builds[piece] += 1
+        return body(piece)
+
+    monkeypatch.setattr(sets, "piece_tester", counted)
+    for text in ("seq(1/n - 3/n^2)", "family(1/n - (1/2)^n, 1/n)"):
+        tail = parse_set(text)
+        head = sets._resolve(tail)[0]
+        assert head
+        e = Union((tail, refused))
+        want = [_tree_contains(e, x) for x in xs]
+        member = membership(e)
+        builds.clear()
+        assert [member(x) for x in xs] == want, text
+        assert any(want) and all(builds[h] == 1 for h in head), (text, builds)
+
+
 
 def _old_box_candidates(atom, rng, center, spread, want):
     box = atom.box()
@@ -595,6 +620,73 @@ def test_cantor_meets_examples():
     assert cantor_meets_interval(c, Interval(Q(3, 10), Q(2, 5), False, False))
     for k in (1, 5, 20, 63):
         assert cantor_meets_interval(c, Interval(Q(0), Q(1, 2**k), False, False))
+
+
+def test_cantor_emptiness_agrees_with_the_brick_search():
+    # bounded windows with triadic and mixed ends; a pair is skipped only
+    # where the reference refuses
+    rng = random.Random(53)
+    dens = [3**k for k in range(13)] + [2**i * 3**j for i in range(11) for j in range(6)]
+
+    def end():
+        d = rng.choice(dens)
+        return Q(rng.randint(-d // 4 - 1, d + d // 4 + 1), d)
+
+    checked = 0
+    for _ in range(101_000):
+        lo, hi = sorted((end(), end()))
+        if lo == hi:
+            continue
+        try:
+            want = cantor_bricks_meet_open(lo, hi)
+        except UnsupportedIntersection:
+            continue
+        assert sets._cantor_meets_open(lo, hi) == want, (lo, hi)
+        checked += 1
+    assert checked >= 100_000
+
+
+def test_deep_cantor_window_is_decided():
+    # the window's right end shares its first 500 ternary digits with 1/4,
+    # past the depth at which the brick search gives up
+    r = Q(1, 4) + Q(1, 3**500)
+    with pytest.raises(UnsupportedIntersection):
+        cantor_bricks_meet_open(Q(1, 4), r)
+    e = Intersection((cantor_affine(0, 1), open_interval(Q(1, 4), r)))
+    m = measure(e)
+    assert m.certified and m.value == 0
+    assert cardinality(window_trace(e, Q(1, 4), Q(1))).kind == "uncountable"
+
+
+def test_cantor_emptiness_is_asked_of_nondegenerate_windows(monkeypatch, cantor_set, cantor_indicator):
+    # the midpoint gap test needs lo < hi: for lo = hi = 1/3 it would say
+    # the empty window meets the set
+    calls = []
+    body = sets._cantor_meets_open
+
+    def recorded(lo, hi):
+        calls.append((lo, hi))
+        return body(lo, hi)
+
+    monkeypatch.setattr(sets, "_cantor_meets_open", recorded)
+    monkeypatch.setattr(sets, "_refusals", {})
+    sets._normal.cache_clear()
+    for a in (Q(0), Q(1, 4), Q(1, 2)):
+        rep = classify(cantor_indicator, a)
+        for t in (LimitType.T5, LimitType.T6):
+            out = rep.outcomes[t]
+            if out.exists == "yes":
+                d = decompose(cantor_indicator, a, out.value, t)
+                verify_decomposition(d, cantor_indicator, a, out.value, t, probes=100)
+        cardinality(window_trace(cantor_set, a, Q(1, 8)))
+    rng = random.Random(59)
+    for _ in range(400):
+        try:
+            sets._normal(rand_set_expr(rng, 3))
+        except UnsupportedIntersection:
+            pass
+    assert len(calls) > 100
+    assert all(lo < hi for lo, hi in calls), [c for c in calls if c[0] >= c[1]][:5]
 
 
 def test_cantor_meets_agrees_with_contains():
