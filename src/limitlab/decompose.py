@@ -67,20 +67,21 @@ def decompose(f: PiecewiseFn, a, L, t: LimitType) -> Decomposition:
     # of the effective regions
     delta0 = running = bands[-1][1]
     offsets = [p - Poly.const(L) for _, p in effective_regions(f)]
-    h_branches = []
+    parts = []
     for _, delta, band in reversed(bands):
         running = min(running, delta)
         window = punctured_window(a, running)
         for part, offset in zip(band, offsets):
             clipped = _normal(Intersection((part, window)))
             if clipped.pieces:
-                h_branches.append((clipped, offset))
-    union = _normal(Union(part for part, _ in h_branches))
-    if h_branches:
+                parts.append((clipped, offset))
+    union = _normal(Union(part for part, _ in parts))
+    if parts:
         g = PiecewiseFn(f.domain, ((union, Poly.const(L)),) + f.branches, f.default)
     else:
         g = f
-    h = PiecewiseFn(f.domain, tuple(h_branches), Poly.const(0))
+    # several bands can clip the same part: h keeps the first of equal branches
+    h = PiecewiseFn(f.domain, tuple(dict.fromkeys(parts)), Poly.const(0))
     return Decomposition(g, h, delta0, union)
 
 

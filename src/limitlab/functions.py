@@ -4,7 +4,11 @@ A function is an ordered list of (guard, polynomial) branches plus a default
 branch, evaluated first-match, restricted to a domain.  Superlevel sets
 { |p(x) - L| >= eps } are produced as sandwich sets: inner/outer expressions
 that bracket the true set exactly when every boundary root is rational, and
-within a certified measure gap otherwise.
+within a certified measure gap otherwise.  The sandwiches, the zero sets of
+nonzero_set and the divisor check of fn_div read one list of root cells per
+polynomial: a point for a rational root, an enclosure ROOT_WIDTH wide for an
+irrational one.  Effective regions are rebuilt on each call; their trees hit
+the normal-form memo of `sets`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     DivisionByPossiblyZero,
@@ -21,16 +24,13 @@ from .errors import (
 )
 from .poly import Poly, isolate_roots, refine_root
 from .sets import (
-    EMPTY,
     FULL_LINE,
     Difference,
-    EmptySet,
     Intersection,
     Normal,
     SetExpr,
     Union,
     _normal,
-    contains,
     interval,
     membership,
     points,
@@ -98,7 +98,6 @@ def fn_eval(f: PiecewiseFn, x) -> Q:
     return fn_evaluator(f)(x)
 
 
-@lru_cache(maxsize=None)
 def effective_regions(f: PiecewiseFn) -> tuple[tuple[Normal, Poly], ...]:
     """Disjoint (region, polynomial) pairs covering the domain exactly, each
     region a nonempty normal form; first-match overlap resolved by
@@ -121,52 +120,43 @@ def effective_regions(f: PiecewiseFn) -> tuple[tuple[Normal, Poly], ...]:
 # --- polynomial sign regions ----------------------------------------------------
 
 
-def _sign_regions(q: Poly) -> tuple[list[SetExpr], list[SetExpr], Q]:
-    """(inner, outer, gap) interval pieces of {x : q(x) >= 0}."""
-    if q.is_zero():
-        return [FULL_LINE], [FULL_LINE], Q(0)
+def _root_cells(q: Poly) -> list[tuple[Q, Q]]:
+    """The sorted closed cells [lo, hi] holding the real roots of q, one
+    each: lo = hi for a rational root, and an enclosure at most ROOT_WIDTH
+    wide, with rational ends that are not roots, for an irrational one.  A
+    constant has none."""
     if q.is_constant():
-        if q.constant_value() >= 0:
-            return [FULL_LINE], [FULL_LINE], Q(0)
-        return [], [], Q(0)
-    bounds = []  # (inner_lo, inner_hi, outer_lo, outer_hi, exact_value|None)
-    gap = Q(0)
-    for loc in isolate_roots(q):
-        if isinstance(loc, Q):
-            bounds.append((loc, loc, loc, loc, loc))
-        else:
-            lo, hi = refine_root(q, loc[0], loc[1], ROOT_WIDTH)
-            bounds.append((hi, lo, lo, hi, None))
-            gap += 2 * (hi - lo)
-    # bounds[i] = (right-safe start, left-safe end, generous start, generous end)
-    inner: list[SetExpr] = []
-    outer: list[SetExpr] = []
-    n = len(bounds)
-    for i in range(n + 1):
-        left = bounds[i - 1] if i > 0 else None
-        right = bounds[i] if i < n else None
-        lo_sample = left[3] if left is not None else (right[2] - 1 if right is not None else Q(0))
-        hi_sample = right[2] if right is not None else (left[3] + 1 if left is not None else Q(0))
-        sample = (lo_sample + hi_sample) / 2 if (left is not None or right is not None) else Q(0)
-        if q(sample) > 0:
-            in_lo = None if left is None else left[0]
-            in_hi = None if right is None else right[1]
-            out_lo = None if left is None else left[2]
-            out_hi = None if right is None else right[3]
-            li = left is not None and left[4] is not None  # closed at exact root
-            ri = right is not None and right[4] is not None
-            piece_in = interval(in_lo, in_hi, li, ri)
-            piece_out = interval(out_lo, out_hi, True if left is not None else False, True if right is not None else False)
-            if not isinstance(piece_in, EmptySet):
-                inner.append(piece_in)
-            if not isinstance(piece_out, EmptySet):
-                outer.append(piece_out)
-    # exact roots themselves satisfy q == 0 >= 0
-    for b in bounds:
-        if b[4] is not None:
-            inner.append(points(b[4]))
-            outer.append(points(b[4]))
-    return inner, outer, gap
+        return []
+    return [
+        (loc, loc) if isinstance(loc, Q) else refine_root(q, loc[0], loc[1], ROOT_WIDTH)
+        for loc in isolate_roots(q)
+    ]
+
+
+def _point_between(lo: Q | None, hi: Q | None) -> Q:
+    """A point of the gap (lo, hi); None stands for an infinite end."""
+    if lo is None:
+        return Q(0) if hi is None else hi - 1
+    return lo + 1 if hi is None else (lo + hi) / 2
+
+
+def _sign_regions(q: Poly) -> tuple[list[SetExpr], list[SetExpr], Q]:
+    """(inner, outer, gap) interval pieces of {x : q(x) >= 0}.
+
+    q has one sign on each gap between root cells, read at a point of it.
+    Where that sign is positive, the inner side stops at each cell's near
+    edge and the outer side reaches its far edge.  A rational root belongs
+    to both sides, so with only rational roots they are the same list; an
+    irrational one widens the gap by its cell on each."""
+    cells = _root_cells(q)
+    inner: list[SetExpr] = [points(lo) for lo, hi in cells if lo == hi]
+    outer = list(inner)
+    ends = [(None, None), *cells, (None, None)]
+    for (far_lo, near_lo), (near_hi, far_hi) in zip(ends, ends[1:]):
+        if q(_point_between(near_lo, near_hi)) >= 0:
+            inner.append(interval(near_lo, near_hi, near_lo == far_lo, near_hi == far_hi))
+            outer.append(interval(far_lo, far_hi))
+    return inner, outer, 2 * sum((hi - lo for lo, hi in cells), Q(0))
 
 
 def isolate_superlevel(p: Poly, L, eps) -> SandwichSet:
@@ -174,13 +164,8 @@ def isolate_superlevel(p: Poly, L, eps) -> SandwichSet:
     L, eps = Q(L), Q(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if p.is_constant():
-        e = _normal(FULL_LINE if abs(p.constant_value() - L) >= eps else EMPTY)
-        return SandwichSet(e, e, Q(0))
-    upper = p - Poly.const(L + eps)  # p - L >= eps
-    lower = Poly.const(L - eps) - p  # p - L <= -eps
-    in1, out1, g1 = _sign_regions(upper)
-    in2, out2, g2 = _sign_regions(lower)
+    in1, out1, g1 = _sign_regions(p - Poly.const(L + eps))  # p - L >= eps
+    in2, out2, g2 = _sign_regions(Poly.const(L - eps) - p)  # p - L <= -eps
     return SandwichSet(_normal(Union(in1 + in2)), _normal(Union(out1 + out2)), g1 + g2)
 
 
@@ -218,20 +203,10 @@ def nonzero_set(f: PiecewiseFn) -> SandwichSet:
     for region, p in effective_regions(f):
         if p.is_zero():
             continue
-        if p.is_constant():
-            inner_parts.append(region)
-            outer_parts.append(region)
-            continue
-        cut_inner = region
-        for loc in isolate_roots(p):
-            if isinstance(loc, Q):
-                cut_inner = Difference(cut_inner, points(loc))
-            else:
-                lo, hi = refine_root(p, loc[0], loc[1], ROOT_WIDTH)
-                cut_inner = Difference(cut_inner, interval(lo, hi))
-                gap += hi - lo
-        inner_parts.append(cut_inner)
+        cells = _root_cells(p)
+        inner_parts.append(Difference(region, Union(tuple(interval(lo, hi) for lo, hi in cells))))
         outer_parts.append(region)
+        gap += sum(hi - lo for lo, hi in cells)
     # exact rational roots removed from inner are also absent from the true
     # set, so only the refined enclosures contribute to the gap
     return SandwichSet(_normal(Union(inner_parts)), _normal(Union(outer_parts)), gap)
@@ -260,19 +235,13 @@ def _combine(f1: PiecewiseFn, f2: PiecewiseFn, op) -> PiecewiseFn:
 
 def _check_nonvanishing(f: PiecewiseFn) -> None:
     for region, p in effective_regions(f):
-        if p.is_constant():
-            if p.constant_value() == 0:
-                raise DivisionByPossiblyZero("a divisor branch is identically zero")
-            continue
-        for loc in isolate_roots(p):
-            if isinstance(loc, Q):
-                if contains(region, loc):
-                    raise DivisionByPossiblyZero(f"divisor vanishes at {loc}")
-            else:
-                if _normal(Intersection((region, interval(loc[0], loc[1])))).pieces:
-                    raise DivisionByPossiblyZero(
-                        f"divisor may vanish inside ({loc[0]}, {loc[1]})"
-                    )
+        if p.is_zero():
+            raise DivisionByPossiblyZero("a divisor branch is identically zero")
+        for lo, hi in _root_cells(p):
+            if _normal(Intersection((region, interval(lo, hi)))).pieces:
+                raise DivisionByPossiblyZero(
+                    f"divisor vanishes at {lo}" if lo == hi else f"divisor may vanish inside ({lo}, {hi})"
+                )
 
 
 def fn_add(f1: PiecewiseFn, f2: PiecewiseFn) -> PiecewiseFn:

@@ -11,11 +11,13 @@ Normalization produces a canonical disjoint "piece" list.  A piece is an
 atom, optionally minus a list of measure-zero removal atoms; co-countable
 sets such as the irrationals in a window are therefore representable, which
 the limit engine needs to certify failure verdicts.  The list is held by a
-Normal, which is a set expression node itself: _normal(n) is n, so the other
-modules take and return normal forms, and build larger trees on them,
-without printing them into trees to be normalized again.  Only the public
-normalize() and the text of a set print a Normal into a tree of atoms
-(Normal.to_expr).
+Normal, which is a set expression node itself: _normal(n) is n, returned
+unhashed, so the other modules take and return normal forms, and build
+larger trees on them, without printing them into trees to be normalized
+again.  Only the public normalize() and the text of a set print a Normal
+into a tree of atoms (Normal.to_expr); normalizing that tree gives the
+same Normal back.  One memo (_normal_or_refusal), keyed by expression, holds
+each tree's normal form or the message of its refusal.
 
 Every atom carries its own facts, so no other module asks an atom for its
 class: `kind` and `rank` (its germ kind and its place in a normal form),
@@ -363,9 +365,6 @@ class Sequence(_Tail):
     @property
     def limit(self) -> Q:
         return self.term.limit
-
-    def member(self, n: int) -> SetExpr:
-        return FinitePoints((self.term.eval(n),))
 
     def box(self) -> Interval:
         """Its first value and its limit."""
@@ -1652,9 +1651,10 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
     final_pts = {x for x in pts if not covered(x)}
     if final_pts:
         solids = merge_intervals([_absorb_ends(s, final_pts) for s in solids])
-        # a closed end can join two plain rational pieces: Q((0,1]) + Q((1,2))
-        plain = merge_intervals([_absorb_ends(qp.core.iv, final_pts) for qp in q_out if not qp.removals])
-        q_out = [Piece(RationalsIn(iv), ()) for iv in plain] + [qp for qp in q_out if qp.removals]
+    # a closed end can join two plain rational pieces: Q((0,1]) + Q((1,2));
+    # and a piece whose removals were all clipped away joins the plain ones
+    plain = merge_intervals([_absorb_ends(qp.core.iv, final_pts) for qp in q_out if not qp.removals])
+    q_out = [Piece(RationalsIn(iv), ()) for iv in plain] + [qp for qp in q_out if qp.removals]
 
     result: list[Piece] = [Piece(s, ()) for s in solids]
     result.extend(merged_shaved)
@@ -1726,33 +1726,38 @@ def _clean_removals(box: Interval, removals: tuple) -> tuple:
                 out.append(r)
         else:
             out.extend(part.core for part in _core_intersect(r, box))
+    # removed rationals are kept as maximal intervals, so equal sets compare equal
+    rats = merge_intervals([r.iv for r in out if isinstance(r, RationalsIn)])
+    out = [r for r in out if not isinstance(r, RationalsIn)] + [RationalsIn(iv) for iv in rats]
     return tuple(sorted(set(out), key=repr))
 
 
 # --- normalization entry points -----------------------------------------------
 
 
-# The message of each refusal _normal has raised, by expression, so that a
-# refused tree is not normalized again.  The message is kept rather than the
-# exception, which would gather traceback frames on every re-raise.
-_refusals: dict[SetExpr, str] = {}
-
-
 @lru_cache(maxsize=None)
-def _normal(expr: SetExpr) -> Normal:
-    refusal = _refusals.get(expr)
-    if refusal is not None:
-        raise UnsupportedIntersection(refusal)
+def _normal_or_refusal(expr: SetExpr) -> Normal | str:
+    """The one memo of normalization: the normal form of expr, or the
+    message of its refusal, so that a refused tree is not normalized again.
+    The message is kept rather than the exception, which would gather
+    traceback frames on every re-raise."""
     try:
         return _normal_of(expr)
     except UnsupportedIntersection as exc:
-        _refusals[expr] = str(exc)
-        raise
+        return str(exc)
+
+
+def _normal(expr: SetExpr) -> Normal:
+    """The normal form of expr; a Normal is returned at once, unhashed."""
+    if isinstance(expr, Normal):
+        return expr
+    out = _normal_or_refusal(expr)
+    if isinstance(out, str):
+        raise UnsupportedIntersection(out)
+    return out
 
 
 def _normal_of(expr: SetExpr) -> Normal:
-    if isinstance(expr, Normal):
-        return expr
     if isinstance(expr, EmptySet):
         return Normal(())
     if isinstance(expr, (Interval, RationalsIn)) or (

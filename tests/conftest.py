@@ -10,8 +10,8 @@ from fractions import Fraction as Q
 import pytest
 
 from limitlab.errors import UnsupportedIntersection
-from limitlab.functions import PiecewiseFn, indicator_fn
-from limitlab.poly import Poly
+from limitlab.functions import ROOT_WIDTH, PiecewiseFn, indicator_fn
+from limitlab.poly import Poly, isolate_roots, refine_root
 from limitlab.sets import (
     EMPTY,
     FULL_LINE,
@@ -424,3 +424,52 @@ def count_roots(p: Poly, lo: Q, hi: Q) -> int:
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     return variations(Q(lo)) - variations(Q(hi))
+
+
+def reference_sign_regions(q: Poly) -> tuple[list[SetExpr], list[SetExpr], Q]:
+    """(inner, outer, gap) interval pieces of {x : q(x) >= 0}, built by the
+    engine's earlier root loop: one bound 5-tuple per root, a sample point
+    per gap between roots, and the rational roots added to both sides.  The
+    reference that the root-cell version agrees with after normalization."""
+    if q.is_zero():
+        return [FULL_LINE], [FULL_LINE], Q(0)
+    if q.is_constant():
+        if q.constant_value() >= 0:
+            return [FULL_LINE], [FULL_LINE], Q(0)
+        return [], [], Q(0)
+    bounds = []  # (inner_lo, inner_hi, outer_lo, outer_hi, exact_value|None)
+    gap = Q(0)
+    for loc in isolate_roots(q):
+        if isinstance(loc, Q):
+            bounds.append((loc, loc, loc, loc, loc))
+        else:
+            lo, hi = refine_root(q, loc[0], loc[1], ROOT_WIDTH)
+            bounds.append((hi, lo, lo, hi, None))
+            gap += 2 * (hi - lo)
+    inner: list[SetExpr] = []
+    outer: list[SetExpr] = []
+    n = len(bounds)
+    for i in range(n + 1):
+        left = bounds[i - 1] if i > 0 else None
+        right = bounds[i] if i < n else None
+        lo_sample = left[3] if left is not None else (right[2] - 1 if right is not None else Q(0))
+        hi_sample = right[2] if right is not None else (left[3] + 1 if left is not None else Q(0))
+        sample = (lo_sample + hi_sample) / 2 if (left is not None or right is not None) else Q(0)
+        if q(sample) > 0:
+            in_lo = None if left is None else left[0]
+            in_hi = None if right is None else right[1]
+            out_lo = None if left is None else left[2]
+            out_hi = None if right is None else right[3]
+            li = left is not None and left[4] is not None  # closed at exact root
+            ri = right is not None and right[4] is not None
+            piece_in = interval(in_lo, in_hi, li, ri)
+            piece_out = interval(out_lo, out_hi, left is not None, right is not None)
+            if not isinstance(piece_in, EmptySet):
+                inner.append(piece_in)
+            if not isinstance(piece_out, EmptySet):
+                outer.append(piece_out)
+    for b in bounds:
+        if b[4] is not None:
+            inner.append(points(b[4]))
+            outer.append(points(b[4]))
+    return inner, outer, gap

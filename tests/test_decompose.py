@@ -157,3 +157,27 @@ def test_undecidable_classical_limit_of_g_is_a_refusal():
     d = decompose(f, a, -1, T5)
     with pytest.raises(UnsupportedIntersection, match="classical limit of g"):
         verify_decomposition(d, f, a, -1, T5)
+
+
+def test_h_has_no_repeated_branches():
+    # several bands can clip the same part; h keeps the first of equal
+    # branches, and g + h = f still holds.  On the named function the three
+    # bands at 1/2 all clip Q((-1/2, 1/4]) minus the sequence
+    found = parse_fn("piecewise { -1/2 - 7/8*x on seq(3/n^2, 3); -2 + 2/3*x on Q([-7/4, 1/4]); else -1/2 }")
+    checked = 0
+    for f, a in [(found, Q(1, 2))] + corpus(11, 60):
+        rep = classify(f, a)
+        for t in (T5, T6):
+            out = rep.outcomes[t]
+            if out.exists != "yes":
+                continue
+            try:
+                d = decompose(f, a, out.value, t)
+            except UnsupportedIntersection:
+                continue
+            assert len(set(d.h.branches)) == len(d.h.branches), (f, a, t)
+            for x in sample_points(f.domain, count=200, seed=5, center=a, spread=max(d.delta0, 1)):
+                assert fn_eval(d.g, x) + fn_eval(d.h, x) == fn_eval(f, x), (f, a, t, x)
+            checked += 1
+    assert checked > 60
+    assert len(decompose(found, Q(1, 2), Q(-1, 2), T5).h.branches) == 1

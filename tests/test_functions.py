@@ -18,6 +18,7 @@ from limitlab.functions import (
     fn_mul,
     fn_scale,
     indicator_fn,
+    _sign_regions,
     isolate_superlevel,
     nonzero_set,
 )
@@ -27,6 +28,8 @@ from limitlab.sets import (
     FULL_LINE,
     Interval,
     Piece,
+    Union,
+    _normal,
     cantor_affine,
     contains,
     interval,
@@ -35,7 +38,7 @@ from limitlab.sets import (
     rationals_in,
 )
 
-from conftest import rand_fn, sample_rats
+from conftest import rand_fn, rand_poly, rand_rat, reference_sign_regions, sample_rats
 
 
 def test_eval_examples(dirichlet, cantor_indicator):
@@ -127,6 +130,32 @@ def test_superlevel_irrational_roots_sandwich():
             assert abs(p(x) - 2) >= 1
         if not contains(sl.outer, x):
             assert abs(p(x) - 2) < 1
+
+
+def test_sign_regions_agree_with_the_root_loop():
+    # root cells against the earlier per-root loop: equal normal forms on
+    # each side and an equal gap, for constants, rational, irrational and
+    # repeated roots
+    rng = random.Random(73)
+    polys = [Poly.const(0), Poly.const(3), Poly.make([0, 0, 1]), Poly.make([-2, 0, 1])]
+    for _ in range(120):
+        p = rand_poly(rng, max_deg=3)
+        for _ in range(rng.choice((0, 1, 2))):
+            p = p * rand_poly(rng, max_deg=2)
+        polys.append(p)
+    compared = widened = 0
+    for p in polys:
+        for _ in range(3):
+            L, eps = rand_rat(rng), abs(rand_rat(rng)) + Q(1, 8)
+            for q in (p - Poly.const(L + eps), Poly.const(L - eps) - p):
+                inner, outer, gap = _sign_regions(q)
+                ref_inner, ref_outer, ref_gap = reference_sign_regions(q)
+                assert _normal(Union(inner)) == _normal(Union(ref_inner)), q
+                assert _normal(Union(outer)) == _normal(Union(ref_outer)), q
+                assert gap == ref_gap, q
+                compared += 1
+                widened += gap > 0
+    assert compared == 6 * len(polys) and widened > 50
 
 
 def test_exceptional_set_examples(dirichlet, cantor_indicator):

@@ -83,6 +83,20 @@ def test_normalize_idempotent_random():
         assert normalize(once) == once
         checked += 1
     assert checked >= 80
+    # depth-3 trees and their mirrors: overlapping removed rationals (seed
+    # 698) and a rational piece whose removals were all clipped away (seed
+    # 1988) once left a second pass with more to merge
+    checked = 0
+    for seed in range(3000):
+        expr = rand_set_expr(random.Random(seed), 3)
+        for e in (expr, mirror(expr)):
+            try:
+                once = normalize(e)
+            except UnsupportedIntersection:
+                continue
+            assert normalize(once) == once, (seed, set_to_text(e))
+            checked += 1
+    assert checked > 5400
 
 
 def test_normal_form_is_a_fixpoint_when_a_point_joins_two_rational_pieces():
@@ -229,9 +243,8 @@ def _sets_normalized_by_the_fixtures(monkeypatch, fixtures):
         seen[_printed(expr)] = None
         return body(expr)
 
-    monkeypatch.setattr(sets, "_refusals", {})
     monkeypatch.setattr(sets, "_normal_of", recorded)
-    sets._normal.cache_clear()
+    sets._normal_or_refusal.cache_clear()
     for f in fixtures:
         rep = classify(f, 0)
         for t in (LimitType.T5, LimitType.T6):
@@ -669,8 +682,7 @@ def test_cantor_emptiness_is_asked_of_nondegenerate_windows(monkeypatch, cantor_
         return body(lo, hi)
 
     monkeypatch.setattr(sets, "_cantor_meets_open", recorded)
-    monkeypatch.setattr(sets, "_refusals", {})
-    sets._normal.cache_clear()
+    sets._normal_or_refusal.cache_clear()
     for a in (Q(0), Q(1, 4), Q(1, 2)):
         rep = classify(cantor_indicator, a)
         for t in (LimitType.T5, LimitType.T6):
@@ -942,8 +954,9 @@ def test_a_normal_form_is_its_own_normal_form():
             n = sets._normal(e)
         except UnsupportedIntersection:
             continue
-        sets._normal.cache_clear()  # an equal normal form cached earlier would be returned instead
+        memo = sets._normal_or_refusal.cache_info()
         assert sets._normal(n) is n
+        assert sets._normal_or_refusal.cache_info() == memo  # n is neither looked up nor stored
         tree = n.to_expr()
         assert set_to_text(n) == set_to_text(tree)
         outer = Difference(Intersection((n, interval(-1, 1))), Union((n, points(7))))
@@ -963,9 +976,8 @@ def test_refusals_are_memoized(monkeypatch):
         runs[expr] = runs.get(expr, 0) + 1
         return body(expr)
 
-    monkeypatch.setattr(sets, "_refusals", {})
     monkeypatch.setattr(sets, "_normal_of", counted)
-    sets._normal.cache_clear()
+    sets._normal_or_refusal.cache_clear()
     entry_points = {
         "normalize": normalize,
         "measure": measure,
