@@ -23,6 +23,7 @@ from .sets import (
     Piece,
     SetExpr,
     _normal,
+    covered_sides,
     member_at,
     piece_reaches,
     tail_info,
@@ -254,17 +255,6 @@ def tail_density_class(fam: IntervalFamily) -> tuple[str, Q | None]:
     raise UndecidableDensity("width/position decay pattern outside the rule table")
 
 
-def _covered_sides(iv: Interval, a: Q) -> set[int]:
-    """Sides of a (-1 left, +1 right) on which iv covers a one-sided
-    neighbourhood of a."""
-    sides = set()
-    if (iv.lo is None or iv.lo < a) and (iv.hi is None or iv.hi >= a):
-        sides.add(-1)
-    if (iv.hi is None or iv.hi > a) and (iv.lo is None or iv.lo <= a):
-        sides.add(1)
-    return sides
-
-
 def density_at(expr: SetExpr, a) -> DensityVerdict:
     """Density of the set at a: the limit of |E ∩ (a-d, a+d)| / 2d as d -> 0.
 
@@ -286,7 +276,7 @@ def density_at(expr: SetExpr, a) -> DensityVerdict:
         if core.kind in NULL_KINDS:
             continue  # measure-zero germ
         if isinstance(core, Interval):
-            covered = _covered_sides(core, a)
+            covered = covered_sides(core, a)
             for r in piece.removals:
                 if not isinstance(r, IntervalFamily):
                     continue
@@ -310,7 +300,7 @@ def density_at(expr: SetExpr, a) -> DensityVerdict:
                 continue
             m = member_at(core, info, a)
             if m is not None:
-                full |= _covered_sides(core.member(m), a)
+                full |= covered_sides(core.member(m), a)
 
     base = Q(len(full), 2)
     if has_positive:

@@ -20,12 +20,25 @@
 "#" starts a line comment.  Intersections of a Cantor atom with an interval
 fold into a clipped atom at parse time, so printing any engine value and
 reparsing reproduces it structurally.
+
+One regular expression reads the tokens: numerals are runs of decimal
+digits, names start with a letter or "_", and a column counts characters
+from the start of the line.  The parser is a recursive descent that holds
+the current token; every rule looks at it before taking it, so the cursor
+never passes the closing end-of-input token.  One rule reads the signed sums
+of terms and of polynomials, and each sum is built once from its atoms'
+coefficients.  Limits on the input are checked where it is read and named
+by line and column: numerals of at most 4300 digits (what Python reads),
+nesting of at most 100 levels, and powers of x of at most 1000, past which
+checking a decomposition of a single x^k branch takes more than a second.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DslSyntaxError, RangeError, UnknownAtom
 from .poly import Poly, rat_text
@@ -57,11 +70,16 @@ from .terms import Term
 
 Q = Fraction
 
-_SYMBOLS = "()[]{},;|&\\+-*/^"
+# Blanks and comments match no group.  \d is str.isdecimal() and \w is
+# str.isalnum() or "_".  A name starts with a letter or "_", so a word that
+# starts with another \w character (a superscript two) is an unexpected one.
+_TOKEN = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|#[^\n]*|(?P<num>\d+)|(?P<id>\w+)|(?P<sym>[()\[\]{},;|&\\+\-*/^])|(?P<bad>.)", re.S
+)
+_SET_NAMES = ("empty", "R", "Q", "cantor", "points", "seq", "family")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'num' | 'id' | a symbol | 'eof'
     text: str
     line: int
@@ -70,47 +88,22 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("id", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _SYMBOLS:
-            toks.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        word, col = m.group(), m.start() - line_start + 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+        elif kind == "num" or kind == "id" and (word[0].isalpha() or word[0] == "_"):
+            toks.append(Token(kind, word, line, col))
+        elif kind == "sym":
+            toks.append(Token(word, word, line, col))
+        else:
+            raise DslSyntaxError(f"unexpected character {word[0]!r}", line, col)
+    # a comment does not advance the column: input that ends in one ends at its "#"
+    toks.append(Token("eof", "", line, len(text[line_start:].partition("#")[0]) + 1))
     return toks
 
 
@@ -120,30 +113,43 @@ class _Parser:
     MAX_NESTING = 100
     # Python reads integers of at most this many digits from text.
     MAX_DIGITS = 4300
+    # Classifying one x^k branch takes 2 ms at k = 1000, but the decompose
+    # command checks g + h = f at about 1,500 points: 1.3 s of CPU time at
+    # k = 1000, 5 s at 3000 and 65 s at 10,000 (Python 3.11).
+    MAX_X_POWER = 1000
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.tok = self.toks[0]
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        """The token after the current one: asked only when the current
+        one is not the end of input, so it exists."""
+        return self.toks[self.pos + 1]
 
     def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        tok = self.tok
+        self.pos += 1
+        self.tok = self.toks[self.pos]
         return tok
 
+    def accept(self, text: str) -> bool:
+        """Take the current token if it is the symbol or name text."""
+        if self.tok.text != text:
+            return False
+        self.next()
+        return True
+
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind:
             raise DslSyntaxError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return self.next()
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise DslSyntaxError(message, tok.line, tok.col)
+        raise DslSyntaxError(message, self.tok.line, self.tok.col)
 
     def descend(self, tok: Token):
         self.depth += 1
@@ -165,28 +171,21 @@ class _Parser:
         return int(tok.text)
 
     def parse_int(self) -> int:
-        neg = False
-        if self.peek().kind == "-":
-            self.next()
-            neg = True
+        neg = self.accept("-")
         v = self.numeral()
         return -v if neg else v
 
     def parse_bool(self) -> bool:
-        tok = self.peek()
-        if tok.kind != "num" or tok.text not in ("0", "1"):
-            self.fail(f"expected a flag 0 or 1, found {tok.text or 'end of input'!r}")
+        if self.tok.text not in ("0", "1"):
+            self.fail(f"expected a flag 0 or 1, found {self.tok.text or 'end of input'!r}")
         return self.next().text == "1"
 
     def parse_rational(self) -> Q:
-        neg = False
-        if self.peek().kind == "-":
-            self.next()
-            neg = True
-        tok = self.peek()
+        neg = self.accept("-")
+        tok = self.tok
         num = self.numeral()
         den = 1
-        if self.peek().kind == "/" and self.peek(1).kind == "num":
+        if self.tok.kind == "/" and self.peek().kind == "num":
             self.next()
             den = self.numeral()
             if den == 0:
@@ -195,53 +194,56 @@ class _Parser:
         return -q if neg else q
 
     def parse_extended_rational(self) -> Q | None:
-        if self.peek().kind == "id" and self.peek().text == "inf":
-            self.next()
+        if self.accept("inf"):
             return None
-        if self.peek().kind == "-" and self.peek(1).kind == "id" and self.peek(1).text == "inf":
+        if self.tok.kind == "-" and self.peek().text == "inf":
             self.next()
             self.next()
             return None
         return self.parse_rational()
 
-    # --- closed-form terms ----------------------------------------------
+    # --- signed sums: closed-form terms and polynomials ---------------------
+
+    def _signed_sum(self, atom: Callable[[], tuple]) -> list[tuple]:
+        """["-"] atom {("+" | "-") atom}: each atom's (coefficient, key),
+        with the coefficient signed."""
+        parts = []
+        negate = self.accept("-")
+        while True:
+            coeff, key = atom()
+            parts.append((-coeff if negate else coeff, key))
+            if self.tok.kind not in ("+", "-"):
+                return parts
+            negate = self.next().kind == "-"
 
     def parse_term(self) -> Term:
-        total = self._parse_term_atom(negate=self._eat_minus())
-        while self.peek().kind in "+-":
-            op = self.next().kind
-            total = total + self._parse_term_atom(negate=(op == "-"))
-        return total
+        parts = self._signed_sum(self._term_atom)
+        return Term.make(
+            sum(c for c, key in parts if key is None),
+            [(r, c) for c, r in parts if isinstance(r, Q)],
+            [(k, 0, c) for c, k in parts if isinstance(k, int)],
+        )
 
-    def _eat_minus(self) -> bool:
-        if self.peek().kind == "-":
+    def _term_atom(self) -> tuple[Q, Q | int | None]:
+        """The coefficient c and the key of c*r^n (the ratio r), of c/n^k
+        (the power k) or of a constant c (None)."""
+        if self.tok.kind == "(":
+            return Q(1), self._geo_ratio()
+        coeff = self.parse_rational()
+        if self.accept("*"):
+            return coeff, self._geo_ratio()
+        if self.tok.kind == "/" and self.peek().text == "n":
             self.next()
-            return True
-        return False
+            self.next()
+            if not self.accept("^"):
+                return coeff, 1
+            k = self.parse_int()
+            if k < 1:
+                raise RangeError("power exponent must be >= 1")
+            return coeff, k
+        return coeff, None
 
-    def _parse_term_atom(self, negate: bool) -> Term:
-        if self.peek().kind == "(":
-            term = self._parse_geo(Q(1))
-        else:
-            coeff = self.parse_rational()
-            if self.peek().kind == "*":
-                self.next()
-                term = self._parse_geo(coeff)
-            elif self.peek().kind == "/" and self.peek(1).kind == "id" and self.peek(1).text == "n":
-                self.next()
-                self.next()
-                k = 1
-                if self.peek().kind == "^":
-                    self.next()
-                    k = self.parse_int()
-                    if k < 1:
-                        raise RangeError("power exponent must be >= 1")
-                term = Term.make(pw=[(k, 0, coeff)])
-            else:
-                term = Term.constant(coeff)
-        return -term if negate else term
-
-    def _parse_geo(self, coeff: Q) -> Term:
+    def _geo_ratio(self) -> Q:
         self.expect("(")
         ratio = self.parse_rational()
         self.expect(")")
@@ -249,166 +251,127 @@ class _Parser:
         tok = self.expect("id")
         if tok.text != "n":
             raise DslSyntaxError("geometric factors are powers of n", tok.line, tok.col)
-        return Term.make(geo=[(ratio, coeff)])
-
-    # --- polynomials ------------------------------------------------------
+        # checked here, not when the whole sum is built, so that the first
+        # fault in the text is the one reported
+        if not 0 < ratio < 1:
+            raise RangeError(f"geometric ratio {ratio} outside (0, 1)")
+        return ratio
 
     def parse_poly(self) -> Poly:
-        total = self._parse_poly_atom(negate=self._eat_minus())
-        while self.peek().kind in "+-":
-            op = self.next().kind
-            total = total + self._parse_poly_atom(negate=(op == "-"))
-        return total
+        parts = self._signed_sum(self._poly_atom)
+        coeffs = [Q(0)] * (max(k for _, k in parts) + 1)
+        for c, k in parts:
+            coeffs[k] += c
+        return Poly.make(coeffs)
 
-    def _parse_poly_atom(self, negate: bool) -> Poly:
-        if self.peek().kind == "id" and self.peek().text == "x":
-            self.next()
-            p = self._x_power(Q(1))
+    def _poly_atom(self) -> tuple[Q, int]:
+        """The coefficient c and the power k of c*x^k."""
+        if self.accept("x"):
+            coeff = Q(1)
         else:
             coeff = self.parse_rational()
-            if self.peek().kind == "*":
-                self.next()
-                tok = self.expect("id")
-                if tok.text != "x":
-                    raise DslSyntaxError("polynomials use the variable x", tok.line, tok.col)
-                p = self._x_power(coeff)
-            else:
-                p = Poly.const(coeff)
-        return -p if negate else p
-
-    def _x_power(self, coeff: Q) -> Poly:
-        k = 1
-        if self.peek().kind == "^":
-            self.next()
-            k = self.parse_int()
-            if k < 0:
-                raise RangeError("polynomial powers must be nonnegative")
-        return Poly.make([Q(0)] * k + [coeff])
+            if not self.accept("*"):
+                return coeff, 0
+            tok = self.expect("id")
+            if tok.text != "x":
+                raise DslSyntaxError("polynomials use the variable x", tok.line, tok.col)
+        if not self.accept("^"):
+            return coeff, 1
+        tok = self.tok
+        k = self.parse_int()
+        if k < 0:
+            raise RangeError("polynomial powers must be nonnegative")
+        if k > self.MAX_X_POWER:
+            raise RangeError(f"power of x above {self.MAX_X_POWER} (line {tok.line}, column {tok.col})")
+        return coeff, k
 
     # --- sets ---------------------------------------------------------------
 
     def parse_set(self) -> SetExpr:
-        left = self.parse_diff()
-        parts = [left]
-        while self.peek().kind == "|":
-            self.next()
+        parts = [self.parse_diff()]
+        while self.accept("|"):
             parts.append(self.parse_diff())
-        if len(parts) == 1:
-            return parts[0]
-        return Union(tuple(parts))
+        return parts[0] if len(parts) == 1 else Union(tuple(parts))
 
     def parse_diff(self) -> SetExpr:
         left = self.parse_and()
         depth = self.depth
-        while self.peek().kind == "\\":
+        while self.tok.kind == "\\":
             self.descend(self.next())
             left = Difference(left, self.parse_and())
         self.depth = depth
         return left
 
     def parse_and(self) -> SetExpr:
-        left = self.parse_primary()
-        parts = [left]
-        while self.peek().kind == "&":
-            self.next()
+        parts = [self.parse_primary()]
+        while self.accept("&"):
             parts.append(self.parse_primary())
-        if len(parts) == 1:
-            return parts[0]
         return _fold_intersection(parts)
 
     def parse_primary(self) -> SetExpr:
-        tok = self.peek()
-        if tok.kind == "[":
+        tok = self.tok
+        if tok.kind == "[" or tok.kind == "(" and (self.peek().kind in ("num", "-") or self.peek().text == "inf"):
             return self._parse_interval()
         if tok.kind == "(":
-            nxt = self.peek(1)
-            if nxt.kind in ("num", "-") or (nxt.kind == "id" and nxt.text == "inf"):
-                return self._parse_interval()
             self.descend(self.next())
             inner = self.parse_set()
             self.depth -= 1
             self.expect(")")
             return inner
-        if tok.kind == "id":
-            name = tok.text
-            if name == "empty":
-                self.next()
-                return EMPTY
-            if name == "R":
-                self.next()
-                return FULL_LINE
-            if name == "Q":
-                self.next()
-                self.expect("(")
-                if self.peek().kind == "id" and self.peek().text == "R":
-                    self.next()
-                    self.expect(")")
-                    return rationals_in(FULL_LINE)
-                iv = self._parse_interval()
-                self.expect(")")
-                return rationals_in(iv)
-            if name == "cantor":
-                self.next()
-                self.expect("(")
-                offset = self.parse_rational()
-                self.expect(",")
-                scale = self.parse_rational()
-                self.expect(")")
-                return cantor_affine(offset, scale)
-            if name == "points":
-                self.next()
-                self.expect("(")
-                vals = [self.parse_rational()]
-                while self.peek().kind == ",":
-                    self.next()
-                    vals.append(self.parse_rational())
-                self.expect(")")
-                return points(*vals)
-            if name == "seq":
-                self.next()
-                self.expect("(")
-                term = self.parse_term()
-                start = 1
-                if self.peek().kind == ",":
-                    self.next()
-                    start = self.parse_int()
-                self.expect(")")
-                return sequence(term, start)
-            if name == "family":
-                self.next()
-                self.expect("(")
-                lo = self.parse_term()
-                self.expect(",")
-                hi = self.parse_term()
-                start, lo_incl, hi_incl = 1, True, False
-                if self.peek().kind == ",":
-                    self.next()
-                    start = self.parse_int()
-                    if self.peek().kind == ",":
-                        self.next()
-                        lo_incl = self.parse_bool()
-                        self.expect(",")
-                        hi_incl = self.parse_bool()
-                self.expect(")")
-                return family(lo, hi, lo_incl, hi_incl, start)
-            raise UnknownAtom(f"unknown set constructor {name!r} at line {tok.line}, column {tok.col}")
-        self.fail(f"expected a set, found {tok.text or 'end of input'!r}")
+        if tok.kind != "id":
+            self.fail(f"expected a set, found {tok.text or 'end of input'!r}")
+        if tok.text not in _SET_NAMES:
+            raise UnknownAtom(f"unknown set constructor {tok.text!r} at line {tok.line}, column {tok.col}")
+        name = self.next().text
+        if name == "empty":
+            return EMPTY
+        if name == "R":
+            return FULL_LINE
+        # the atom is built after its closing ")", so a syntax error in the
+        # text comes before a RangeError of the builder
+        self.expect("(")
+        if name == "Q":
+            build, args = rationals_in, [FULL_LINE if self.accept("R") else self._parse_interval()]
+        elif name == "cantor":
+            offset = self.parse_rational()
+            self.expect(",")
+            build, args = cantor_affine, [offset, self.parse_rational()]
+        elif name == "points":
+            build, args = points, [self.parse_rational()]
+            while self.accept(","):
+                args.append(self.parse_rational())
+        elif name == "seq":
+            build, args = sequence, [self.parse_term()]
+            if self.accept(","):
+                args.append(self.parse_int())
+        else:
+            lo = self.parse_term()
+            self.expect(",")
+            hi = self.parse_term()
+            start, flags = 1, (True, False)
+            if self.accept(","):
+                start = self.parse_int()
+                if self.accept(","):
+                    lo_incl = self.parse_bool()
+                    self.expect(",")
+                    flags = (lo_incl, self.parse_bool())
+            build, args = family, [lo, hi, *flags, start]
+        self.expect(")")
+        return build(*args)
 
     def _parse_interval(self) -> SetExpr:
-        open_tok = self.peek()
+        open_tok = self.tok
         if open_tok.kind not in ("[", "("):
             self.fail("expected an interval")
         self.next()
-        lo_incl = open_tok.kind == "["
         lo = self.parse_extended_rational()
         self.expect(",")
         hi = self.parse_extended_rational()
-        close_tok = self.peek()
+        close_tok = self.tok
         if close_tok.kind not in ("]", ")"):
             self.fail("expected ']' or ')' to close an interval")
         self.next()
-        hi_incl = close_tok.kind == "]"
-        return interval(lo, hi, lo_incl and lo is not None, hi_incl and hi is not None)
+        return interval(lo, hi, open_tok.kind == "[" and lo is not None, close_tok.kind == "]" and hi is not None)
 
     # --- functions -------------------------------------------------------------
 
@@ -418,7 +381,7 @@ class _Parser:
             raise DslSyntaxError("functions start with 'piecewise'", tok.line, tok.col)
         self.expect("{")
         branches = []
-        while not (self.peek().kind == "id" and self.peek().text == "else"):
+        while not self.accept("else"):
             poly = self.parse_poly()
             on_tok = self.expect("id")
             if on_tok.text != "on":
@@ -426,7 +389,6 @@ class _Parser:
             guard = self.parse_set()
             self.expect(";")
             branches.append((guard, poly))
-        self.next()  # else
         default = self.parse_poly()
         self.expect("}")
         return PiecewiseFn(FULL_LINE, tuple(branches), default)
@@ -435,6 +397,8 @@ class _Parser:
 def _fold_intersection(parts: list[SetExpr]) -> SetExpr:
     """cantor(o, s) & interval folds into the clipped atom so that printing
     a clipped Cantor piece round-trips structurally."""
+    if len(parts) == 1:
+        return parts[0]
     if len(parts) == 2:
         a, b = parts
         if isinstance(a, CantorAffine) and isinstance(b, Interval):
@@ -444,31 +408,25 @@ def _fold_intersection(parts: list[SetExpr]) -> SetExpr:
     return Intersection(tuple(parts))
 
 
-def parse_set(text: str) -> SetExpr:
+def _parse_all(text: str, rule):
+    """rule read from the whole text: anything after it is an error."""
     p = _Parser(text)
-    expr = p.parse_set()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise DslSyntaxError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return expr
+    value = rule(p)
+    if p.tok.kind != "eof":
+        raise DslSyntaxError(f"unexpected trailing input {p.tok.text!r}", p.tok.line, p.tok.col)
+    return value
+
+
+def parse_set(text: str) -> SetExpr:
+    return _parse_all(text, _Parser.parse_set)
 
 
 def parse_fn(text: str) -> PiecewiseFn:
-    p = _Parser(text)
-    fn = p.parse_fn()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise DslSyntaxError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return fn
+    return _parse_all(text, _Parser.parse_fn)
 
 
 def parse_rational(text: str) -> Q:
-    p = _Parser(text)
-    q = p.parse_rational()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise DslSyntaxError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return q
+    return _parse_all(text, _Parser.parse_rational)
 
 
 # --- printing ---------------------------------------------------------------------

@@ -34,8 +34,9 @@ point test with what depends on the atom alone worked out up front (interval
 ends as integers compared by cross-multiplication, a sequence's or family's
 head testers, canonical tail and distance range, a Cantor image's offset and
 scale as integers), and membership(expr) joins the testers of the normal
-form's pieces into one.  A lookup that can refuse runs on the first point
-that reaches its atom.
+form's pieces into one.  Unions, intersections and differences have
+testers built from their arguments', which test a tree that is refused.  A
+lookup that can refuse runs on the first point that reaches its atom.
 
 A sequence is an interval family whose members are single closed points,
 so both kinds share one tail layer.  _resolve splits either, once, into a
@@ -270,21 +271,10 @@ class CantorAffine(SetExpr):
 
     def reaches(self, a: Q) -> bool:
         member, accL, accR = cantor_unit_info(self.to_base(a))[:3]
-        if not member:
-            return False
         if self.scale < 0:
             accL, accR = accR, accL
-        clip = self.box()
-        right_room = clip.hi is None or clip.hi > a
-        left_room = clip.lo is None or clip.lo < a
-        if not clip.contains(a):
-            # a on or outside the clip boundary: approach only from inside
-            if clip.lo is not None and a <= clip.lo:
-                return accR and right_room and (a == clip.lo)
-            if clip.hi is not None and a >= clip.hi:
-                return accL and left_room and (a == clip.hi)
-            return False
-        return (accR and right_room) or (accL and left_room)
+        sides = covered_sides(self.box(), a)
+        return member and (accL and -1 in sides or accR and 1 in sides)
 
     def distance_floor(self, a: Q) -> Q:
         """May undershoot, never overshoots."""
@@ -443,6 +433,9 @@ class Union(SetExpr):
     def __init__(self, args):
         object.__setattr__(self, "args", tuple(args))
 
+    def tester(self) -> Callable[[Q], bool]:
+        return _any_of([a.tester() for a in self.args])
+
 
 @dataclass(frozen=True)
 class Intersection(SetExpr):
@@ -451,11 +444,18 @@ class Intersection(SetExpr):
     def __init__(self, args):
         object.__setattr__(self, "args", tuple(args))
 
+    def tester(self) -> Callable[[Q], bool]:
+        return _all_of([a.tester() for a in self.args])
+
 
 @dataclass(frozen=True)
 class Difference(SetExpr):
     left: SetExpr
     right: SetExpr
+
+    def tester(self) -> Callable[[Q], bool]:
+        left, right = self.left.tester(), self.right.tester()
+        return lambda x: left(x) and not right(x)
 
 
 def _never(x: Q) -> bool:
@@ -661,6 +661,17 @@ def _iv_distance(iv: Interval, a: Q) -> Q:
     if iv.hi is not None and a > iv.hi:
         return a - iv.hi
     return Q(0)
+
+
+def covered_sides(iv: Interval, a: Q) -> set[int]:
+    """Sides of a (-1 left, +1 right) on which iv covers a one-sided
+    neighbourhood of a."""
+    sides = set()
+    if (iv.lo is None or iv.lo < a) and (iv.hi is None or iv.hi >= a):
+        sides.add(-1)
+    if (iv.hi is None or iv.hi > a) and (iv.lo is None or iv.lo <= a):
+        sides.add(1)
+    return sides
 
 
 # --- Cantor set machinery ---------------------------------------------------
@@ -1804,16 +1815,16 @@ def normalize(expr: SetExpr) -> SetExpr:
 
 def membership(expr: SetExpr) -> Callable[[Q], bool]:
     """Exact membership test of expr on rationals, resolved once: the
-    testers of the normal form's pieces.  A tree that is refused is compiled
-    once into tests of its nodes instead: a union tries its arguments in
-    order, an intersection needs all of them in order, a difference tests
-    its left side and then its right, and each atom's tester is built on the
-    first point that reaches it.  A build that refuses raises the same
+    testers of the normal form's pieces.  A tree that is refused is tested
+    by its own tester() instead: a union tries its arguments in order, an
+    intersection needs all of them in order, a difference tests its left
+    side and then its right, and a sequence or family resolves on the first
+    point that reaches it.  A resolution that refuses raises the same
     UnsupportedIntersection at each point that reaches the atom."""
     try:
         normal = _normal(expr)
     except UnsupportedIntersection:
-        return _tree_tester(expr)
+        return expr.tester()
     return normal.tester()
 
 
@@ -1823,17 +1834,6 @@ def contains(expr: SetExpr, x) -> bool:
     UnsupportedIntersection only when the point reaches an atom that cannot
     be resolved, such as a sequence whose head is too large to materialize."""
     return membership(expr)(Q(x))
-
-
-def _tree_tester(expr: SetExpr) -> Callable[[Q], bool]:
-    if isinstance(expr, Union):
-        return _any_of([_tree_tester(a) for a in expr.args])
-    if isinstance(expr, Intersection):
-        return _all_of([_tree_tester(a) for a in expr.args])
-    if isinstance(expr, Difference):
-        left, right = _tree_tester(expr.left), _tree_tester(expr.right)
-        return lambda x: left(x) and not right(x)
-    return _lazy(expr.tester)
 
 
 # --- local traces --------------------------------------------------------------

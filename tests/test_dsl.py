@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from limitlab.dsl import fn_to_text, parse_fn, parse_rational, parse_set, set_to_text
-from limitlab.errors import DslSyntaxError, RangeError, UnknownAtom
+from conftest import corpus, rand_rat, rand_set_expr
+from limitlab.dsl import fn_to_text, parse_fn, parse_rational, parse_set, rat_text, set_to_text
+from limitlab.errors import DslSyntaxError, LimitLabError, RangeError, UnknownAtom
 from limitlab.functions import PiecewiseFn
 from limitlab.sets import (
     FULL_LINE,
@@ -40,7 +43,7 @@ def test_parse_error_never_crashes():
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 25)))
         try:
             parse_set(text)
-        except (DslSyntaxError, RangeError, UnknownAtom, OverflowError):
+        except (DslSyntaxError, RangeError, UnknownAtom):
             pass
 
 
@@ -76,6 +79,16 @@ def test_overlong_numerals_are_refused(parse, prefix, suffix):
     with pytest.raises(RangeError, match=f"longer than 4300 digits \\(line 1, column {len(prefix) + 1}\\)"):
         parse(prefix + _LONG + suffix)
     assert parse_rational("1/" + _LONG[:4300]) == Q(1, int(_LONG[:4300]))
+
+
+@pytest.mark.parametrize("power", ["1001", "50000000", "99999999999999999999"])
+def test_powers_of_x_are_bounded(power):
+    # checking a decomposition evaluates x^k at about 1,500 points, which
+    # takes more than a second past k = 1000
+    assert parse_fn("piecewise { else x^1000 }").default.degree == 1000
+    prefix = "piecewise { x on [0, 1]; else 2*x^"
+    with pytest.raises(RangeError, match=f"power of x above 1000 \\(line 1, column {len(prefix) + 1}\\)"):
+        parse_fn(prefix + power + " }")
 
 
 def test_numerals_are_decimal_digits():
@@ -195,3 +208,87 @@ def test_fn_round_trip(dirichlet, omega_indicator):
         parse_fn("piecewise { x on [0, 1]; 1/2 - x^2 on points(3); else 2*x - 1/3 }"),
     ):
         assert parse_fn(fn_to_text(f)) == f
+
+
+# --- golden parse outcomes -------------------------------------------------------
+#
+# `golden/dsl.json` freezes what the parser makes of a seeded corpus: printed
+# `corpus` functions, `rand_set_expr` trees and rationals; edits of them (an
+# inserted, deleted or swapped character); random strings of grammar words
+# and characters, some non-ASCII; and overlong numerals, deep nesting and
+# comments.  Each record holds the printed tree, or the error's type and
+# message.  Rewrite the file after a deliberate change with
+# `PYTHONPATH=src python tests/test_dsl.py` and review the diff.
+
+DSL_GOLDEN = Path(__file__).parent / "golden" / "dsl.json"
+_ENTRY_POINTS = {"set": (parse_set, set_to_text), "fn": (parse_fn, fn_to_text), "rational": (parse_rational, rat_text)}
+# the grammar's characters, blanks, comments and line breaks, and non-ASCII
+# ones: a superscript two and an Arabic-Indic three (digits to str, and only
+# the second a numeral), an accented letter, and two spaces that are not blanks
+_CHARS = "[](){}|&\\,;^*/+-0123456789 xnQR#_\n\t\r\u00b2\u00e9\u0663\u00a0\u2028"
+_WORDS = (
+    "piecewise", "{", "}", "else", "on", ";", "x", "^", "*", "n", "(", ")", "[", "]", ",", "|", "&", "\\",
+    "-", "+", "/", "1/2", "3", "0", "inf", "-inf", "R", "Q(", "cantor(", "points(", "seq(", "family(",
+    "empty", "(1/2)^n", "1/n", "circle(", " ", "\n", "#", "\u00b2", "\u0663",
+)
+
+
+def _edit(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        roll = rng.random()
+        if roll < 0.4:
+            text = text[:i] + rng.choice(_CHARS) + text[i:]
+        elif roll < 0.7:
+            text = text[:i] + text[i + 1 :]
+        elif i + 1 < len(text):
+            text = text[:i] + text[i + 1] + text[i] + text[i + 2 :]
+    return text
+
+
+def golden_dsl_texts(seed: int = 2020, size: int = 3000) -> list[tuple[str, str]]:
+    """(entry point, text) pairs: a fifth printed values, half edits of
+    them, the rest random strings, then the edge cases."""
+    rng = random.Random(seed)
+    printed = [("fn", fn_to_text(f)) for f, _ in corpus(seed, size // 10)]
+    printed += [("set", set_to_text(rand_set_expr(rng, 3))) for _ in range(size // 20)]
+    printed += [("rational", rat_text(rand_rat(rng, -99, 99))) for _ in range(size // 20)]
+    texts = list(printed)
+    for _ in range(size // 2):
+        entry, text = rng.choice(printed)
+        texts.append((entry, _edit(rng, text)))
+    for i in range(size - len(texts)):
+        pool = _WORDS if i % 2 else _CHARS
+        texts.append((rng.choice(tuple(_ENTRY_POINTS)), "".join(rng.choice(pool) for _ in range(rng.randint(0, 30)))))
+    long = "7" * 4301
+    texts += [("set", f"[0, 1/{long}]"), ("set", f"points({long[:4300]})"), ("rational", long)]
+    texts += [("fn", f"piecewise {{ else {long}*x }}")]
+    texts += [("set", "(" * k + "[0,1]" + ")" * k) for k in (100, 101)]
+    texts += [("set", "[0,1]" + " \\ [5,6]" * k) for k in (100, 101)]
+    texts += [("set", "[0, 1] | points(2)  # tail"), ("set", "# a set\n[0,\n 1] #"), ("set", "[0, 1] |  # tail"), ("set", "")]
+    texts += [("fn", "piecewise { x^2 on [0,1]; else x^1000 - x^1000 }"), ("fn", "piecewise { else x^-1 }")]
+    return texts
+
+
+def golden_dsl(texts: list[tuple[str, str]]) -> list[dict]:
+    out = []
+    for entry, text in texts:
+        parse, show = _ENTRY_POINTS[entry]
+        try:
+            rec = {"parse": entry, "text": text, "tree": show(parse(text))}
+        except LimitLabError as exc:
+            rec = {"parse": entry, "text": text, "error": f"{type(exc).__name__}: {exc}"}
+        out.append(rec)
+    return out
+
+
+def test_golden_dsl():
+    frozen = json.loads(DSL_GOLDEN.read_text(encoding="utf-8"))
+    texts = golden_dsl_texts()
+    assert [(rec["parse"], rec["text"]) for rec in frozen] == texts
+    assert golden_dsl(texts) == frozen
+
+
+if __name__ == "__main__":
+    DSL_GOLDEN.write_text(json.dumps(golden_dsl(golden_dsl_texts()), indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"wrote {DSL_GOLDEN}")
