@@ -20,7 +20,6 @@ from .sets import (
     Interval,
     IntervalFamily,
     Normal,
-    Piece,
     SetExpr,
     _normal,
     covered_sides,
@@ -28,7 +27,6 @@ from .sets import (
     piece_reaches,
     tail_info,
 )
-from .terms import Term
 
 Q = Fraction
 
@@ -87,47 +85,19 @@ DENSITY_ZERO = DensityVerdict("zero")
 # --- measure -------------------------------------------------------------------
 
 
-_MAX_TAIL_TERMS = 4096  # exact rational prefix sums grow superlinearly in size
-
-
 def family_tail_measure(fam: IntervalFamily, target_gap: Q = Q(1, 2**40)) -> tuple[Q, Q]:
-    """Certified (low, high) for the total length of a canonical disjoint tail.
-
-    Exact for purely geometric member widths; otherwise the bound gap halves
-    roughly once per refinement round until the term budget runs out.
-    """
-    width = fam.hi - fam.lo
-    prefix = Q(0)
-    start = fam.start
-    lo, hi = width.tail_sum_bounds(start)
-    chunk = 8
-    budget = _MAX_TAIL_TERMS
-    while hi - lo > 2 * target_gap and budget > 0:
-        step = min(chunk, budget)
-        for n in range(start, start + step):
-            prefix += width.eval(n)
-        start += step
-        budget -= step
-        chunk = min(chunk * 2, 1024)
-        lo, hi = width.tail_sum_bounds(start)
-    return prefix + lo, prefix + hi
+    """Certified (low, high) for the total length of a canonical disjoint tail:
+    the tail sum of its member widths."""
+    return (fam.hi - fam.lo).tail_sum(fam.start, target_gap)
 
 
 def measure(expr: SetExpr, target_gap: Q = Q(1, 2**40)) -> MeasureValue:
-    """Lebesgue measure of the expression, exact where possible."""
-    return _pieces_measure(_normal(expr).pieces, target_gap)
-
-
-def trace_measure(trace: Normal) -> MeasureValue:
-    """Measure of a window trace."""
-    return _pieces_measure(trace.pieces)
-
-
-def _pieces_measure(pieces: tuple[Piece, ...], target_gap: Q = Q(1, 2**40)) -> MeasureValue:
+    """Lebesgue measure of the expression, exact where possible; a window
+    trace is its own normal form."""
     value = Q(0)
     gap = Q(0)
     infinite = False
-    for piece in pieces:
+    for piece in _normal(expr).pieces:
         core = piece.core
         if isinstance(core, Interval):
             length = core.length()
@@ -181,50 +151,15 @@ def has_no_accumulation_point(trace: Normal) -> bool:
 # --- density ----------------------------------------------------------------------
 
 
-def _dominant(term: Term) -> tuple[str, object, Q]:
-    """Dominating monomial of a term with limit 0 and eventually > 0.
-
-    Returns ('pow', k, coeff_sum) or ('geo', ratio, coeff); coefficient must
-    be positive, otherwise the dominant order cancels and the rule table does
-    not apply.
-    """
-    if term.pw:
-        k_min = min(k for k, _, _ in term.pw)
-        coeff = sum(c for k, _, c in term.pw if k == k_min)
-        if coeff <= 0:
-            raise UndecidableDensity("dominant power coefficient cancels")
-        return "pow", k_min, coeff
-    if term.geo:
-        r, c = term.geo[0]
-        if c <= 0:
-            raise UndecidableDensity("dominant geometric coefficient cancels")
-        return "geo", r, c
-    raise UndecidableDensity("width term is identically zero")
-
-
-def _abs_coeff_sum(term: Term) -> Q:
-    return sum(abs(c) for _, c in term.geo) + sum(abs(c) for _, _, c in term.pw)
-
-
-def _half_dominant_holds(term: Term, kind: str, key, coeff: Q) -> bool:
-    """Certify term(n) >= half its dominant monomial for all large n."""
-    if kind == "pow":
-        half = Term.make(pw=[(key, 0, coeff / 2)])
-    else:
-        half = Term.make(geo=[(key, coeff / 2)])
-    sign, _ = (term - half).eventual_sign()
-    return sign >= 0
-
-
 def tail_density_class(fam: IntervalFamily) -> tuple[str, Q | None]:
     """('zero', None) or ('positive', liminf lower bound) for a canonical
     disjoint tail at its own accumulation point, by dominant-decay analysis
     of member widths against member positions."""
     width = fam.hi - fam.lo
     position = tail_info(fam).far.term  # distance of the far edge from the limit
-    wk, wkey, wc = _dominant(width)
-    pk, pkey, _ = _dominant(position)
-    pos_sum = _abs_coeff_sum(position)
+    wk, wkey, wc = width.dominant()
+    pk, pkey, _ = position.dominant()
+    pos_sum = position.abs_coeff_sum()
 
     if pk == "pow":
         k_p = pkey
@@ -236,7 +171,7 @@ def tail_density_class(fam: IntervalFamily) -> tuple[str, Q | None]:
         if k_w > k_p + 1:
             return "zero", None
         if k_w == k_p + 1:
-            if not _half_dominant_holds(width, wk, wkey, wc):
+            if not width.half_dominant_holds():
                 raise UndecidableDensity("width term is not eventually half-dominant")
             lb = wc / (4 * pos_sum * (k_w - 1) * Q(2) ** (k_w - 1))
             return "positive", lb
@@ -248,7 +183,7 @@ def tail_density_class(fam: IntervalFamily) -> tuple[str, Q | None]:
         if r_w < r_p:
             return "zero", None
         if r_w == r_p:
-            if not _half_dominant_holds(width, wk, wkey, wc):
+            if not width.half_dominant_holds():
                 raise UndecidableDensity("width term is not eventually half-dominant")
             lb = wc * r_w / (4 * (1 - r_w) * pos_sum)
             return "positive", lb

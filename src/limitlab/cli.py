@@ -2,7 +2,8 @@
 decompose, estimate, verify.
 
 Exit codes: 0 for decided results (pass or fail), 2 for undecidable
-results, 1 for errors (syntax, unsupported set algebra, bad flags).
+results, 1 for errors (syntax, unsupported set algebra, bad flags or a
+command line the parser does not accept).
 Inputs given to --fn/--set are read from the named file when one exists,
 otherwise treated as inline text in the DSL grammar.
 """
@@ -254,8 +255,17 @@ def _cmd_verify(args) -> Report:
     return Report("verify", {"cases": cases, "all_ok": all_ok}, EXIT_OK if all_ok else EXIT_ERROR, lines)
 
 
+class UsageError(LimitLabError):
+    """A command line the parser does not accept (argparse would exit 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="limitlab",
         description="Exact limit-type analysis of piecewise functions over structured real subsets.",
     )
@@ -314,8 +324,9 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace()  # filled as parsing goes, so a usage error knows --format
     try:
+        build_parser().parse_args(argv, args)
         report = _HANDLERS[args.command](args)
     except LimitLabError as exc:
         payload = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}

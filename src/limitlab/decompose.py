@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analyzers import cardinality, trace_measure
+from .analyzers import cardinality, measure
 from .errors import PrerequisiteNotMet, UnsupportedIntersection
 from .functions import PiecewiseFn, effective_regions, fn_evaluator, nonzero_set, punctured_window
 from .limits import LimitType, _bands, _region_germs, _status, check
@@ -110,5 +110,5 @@ def verify_decomposition(d: Decomposition, f: PiecewiseFn, a, L, t: LimitType, p
     trace = window_trace(nonzero_set(d.h).outer, a, d.delta0)
     if t is LimitType.T5:
         return cardinality(trace).kind in ("empty", "finite", "countably_infinite")
-    m = trace_measure(trace)
+    m = measure(trace)
     return m.value == 0 and m.bound_gap == 0

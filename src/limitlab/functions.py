@@ -76,20 +76,21 @@ class SandwichSet:
 
 
 def fn_evaluator(f: PiecewiseFn) -> Callable[[Q], Q]:
-    """Exact evaluation of f, with the domain's and every guard's membership
-    test resolved once for all the points it is called on."""
+    """Exact evaluation of f, with the membership tests and every branch's
+    integer form resolved once for all the points it is called on."""
     in_domain = membership(f.domain)
-    branches = [(membership(guard), p) for guard, p in f.branches]
+    branches = [(membership(guard), p.evaluator()) for guard, p in f.branches]
+    default = f.default.evaluator()
 
     def evaluate(x) -> Q:
         if not isinstance(x, Q):
             x = Q(x)
         if not in_domain(x):
             raise OutsideDomain(f"{x} is outside the function domain")
-        for in_guard, p in branches:
+        for in_guard, value in branches:
             if in_guard(x):
-                return p(x)
-        return f.default(x)
+                return value(x)
+        return default(x)
 
     return evaluate
 

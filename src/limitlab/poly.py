@@ -21,6 +21,7 @@ root bound of the square-free part with its rational roots divided out.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -69,14 +70,23 @@ class Poly:
         return self.coeffs[0] if self.coeffs else Q(0)
 
     def __call__(self, x) -> Q:
+        return self.evaluator()(x)
+
+    def evaluator(self) -> Callable[[Q], Q]:
+        """Exact evaluation, with the coefficients over their common
+        denominator built once for all the points it is called on."""
         if self.is_constant():
-            return self.constant_value()
-        # the integer kernel on the coefficients over their common
-        # denominator: one Fraction, built at the end
-        x = _as_q(x)
+            v = self.constant_value()
+            return lambda x: v
         den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        return Q(_value(ints, x.numerator, x.denominator), den * x.denominator**self.degree)
+        deg = self.degree
+
+        def value(x) -> Q:
+            x = _as_q(x)
+            return Q(_value(ints, x.numerator, x.denominator), den * x.denominator**deg)
+
+        return value
 
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -105,7 +115,7 @@ class Poly:
             return Poly(())
         return Poly(tuple(c * k for c in self.coeffs))
 
-    def to_text(self, var: str = "x") -> str:
+    def to_text(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
@@ -116,13 +126,17 @@ class Poly:
             if i == 0:
                 body = rat_text(mag)
             else:
-                xs = var if i == 1 else f"{var}^{i}"
+                xs = "x" if i == 1 else f"x^{i}"
                 body = xs if mag == 1 else f"{rat_text(mag)}*{xs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            parts.append((c, body))
+        return signed_text(parts)
+
+
+def signed_text(parts: Iterable[tuple[Q, str]]) -> str:
+    """The bodies as one sum, each with the sign of its coefficient:
+    "a - b + c", or "-a + b" when the first is negative."""
+    text = " ".join(f"{'+' if c > 0 else '-'} {body}" for c, body in parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def rat_text(q: Q) -> str:

@@ -49,14 +49,8 @@ compare a point x by its distance coordinate d = s*(x - L) against those
 terms, for both kinds and both sides; members and shortened tails are
 always built from the real atom.
 
-_resolve compiles both distance terms once into integer form (_Dist), and
-d is kept as a pair of integers.  Each of those searches asks for the
-first index n with term(n) < d (or <= d).  For one power monomial
-c/(n+s)^k that index is an integer k-th root; for one geometric part
-c*r^n it is estimated from logarithms and confirmed by exact integer
-comparisons.  Any other term, or an estimate that is not confirmed, gallops
-over exact comparisons.  No estimate decides an answer by itself, and a
-search past start + 2^62 refuses.
+_resolve compiles both distance terms once (terms._compile), and d is kept
+as a pair of integers that the compiled terms compare and search exactly.
 
 One integer walk over ternary digits (_cantor_walk) answers every question
 about the middle-thirds Cantor set: membership, the sides it accumulates
@@ -75,7 +69,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .errors import RangeError, UnsupportedIntersection
-from .terms import Term
+from .terms import Term, _compile, _Dist
 
 Q = Fraction
 
@@ -778,7 +772,7 @@ def sequence(term: Term, start: int = 1) -> SetExpr:
     if start < 1:
         raise RangeError("sequence start must be >= 1")
     if term.is_constant():
-        return points(term.const)
+        return points(term.limit)
     return Sequence(term, start)
 
 
@@ -943,163 +937,6 @@ def _members(tail: _Tail, stop: int) -> list[SetExpr]:
         return [points(*(tail.term.eval(n) for n in range(tail.start, stop)))]
     members = (tail.member(n) for n in range(tail.start, stop))
     return [m for m in members if not isinstance(m, EmptySet)]
-
-
-# Index searches stop at start + 2^62, and exact comparisons expand a
-# geometric part's r^n only while n times the bit length of r's denominator
-# stays within _EXACT_BITS; past either bound a lookup refuses.
-_INDEX_BOUND = 1 << 62
-_EXACT_BITS = 1 << 20
-
-
-def _index_refusal() -> UnsupportedIntersection:
-    return UnsupportedIntersection("tail index search passed 2^62")
-
-
-def _exact_refusal() -> UnsupportedIntersection:
-    return UnsupportedIntersection("tail comparison needs a geometric power past 2^20 bits")
-
-
-def _iroot(t: int, k: int) -> int:
-    """floor(t^(1/k)) for t >= 0: Newton steps from above, from a power of
-    two past the root (Brent & Zimmermann, Modern Computer Arithmetic, 1.5)."""
-    if k == 1 or t < 2:
-        return t
-    if k == 2:
-        return math.isqrt(t)
-    r = 1 << -(-t.bit_length() // k)
-    while True:
-        y = ((k - 1) * r + t // r ** (k - 1)) // k
-        if y >= r:
-            return r
-        r = y
-
-
-class _Dist:
-    """A tail's distance term compiled once to integers: positive and
-    strictly decreasing from the tail's start.  A distance a/b is a pair of
-    integers with b > 0.  sign(n, a, b) is the exact sign of term(n) - a/b,
-    and first(start, a, b, strict) the first n >= start with term(n) < a/b
-    (term(n) <= a/b when not strict).  This general form gallops over exact
-    comparisons; one power monomial or one geometric part solve for the
-    crossing directly (_PowerDist, _GeoDist)."""
-
-    def __init__(self, term: Term):
-        self.term = term
-        self.bits = max((r.denominator.bit_length() for r, _ in term.geo), default=0)
-
-    def sign(self, n: int, a: int, b: int) -> int:
-        x = Q(a, b)
-        lo, hi = self.term.eval_bounds(n)
-        if lo > x:
-            return 1
-        if hi < x:
-            return -1
-        if n * self.bits > _EXACT_BITS:
-            raise _exact_refusal()
-        v = self.term.eval(n)
-        return (v > x) - (v < x)
-
-    def first(self, start: int, a: int, b: int, strict: bool) -> int:
-        return _gallop(self.sign, start, a, b, strict)
-
-
-class _PowerDist(_Dist):
-    """p/(q*(n+s)^k): term(n) < a/b exactly when (n+s)^k > p*b/(a*q), so the
-    crossing is an integer k-th root."""
-
-    def __init__(self, term: Term):
-        super().__init__(term)
-        ((self.k, self.s, c),) = term.pw
-        self.p, self.q = c.numerator, c.denominator
-
-    def sign(self, n: int, a: int, b: int) -> int:
-        v = self.p * b - a * self.q * (n + self.s) ** self.k
-        return (v > 0) - (v < 0)
-
-    def first(self, start: int, a: int, b: int, strict: bool) -> int:
-        if a <= 0:
-            raise _index_refusal()
-        num, den = self.p * b, a * self.q
-        t = num // den + 1 if strict else -(-num // den)  # the least m^k that crosses
-        m = _iroot(t, self.k)
-        if m**self.k < t:
-            m += 1
-        n = max(start, m - self.s)
-        if n - start > _INDEX_BOUND:
-            raise _index_refusal()
-        return n
-
-
-class _GeoDist(_Dist):
-    """(p/q)*(u/v)^n: term(n) < a/b exactly when (v/u)^n > p*b/(a*q).  The
-    crossing is estimated from logarithms (math.log reads an integer's bit
-    length and leading bits) and confirmed by exact integer comparisons; an
-    estimate that three steps do not confirm falls back to galloping."""
-
-    def __init__(self, term: Term):
-        super().__init__(term)
-        ((r, c),) = term.geo
-        self.u, self.v = r.numerator, r.denominator
-        self.p, self.q = c.numerator, c.denominator
-        self.log_step = math.log1p((self.v - self.u) / self.u)  # log(1/r) > 0
-
-    def sign(self, n: int, a: int, b: int) -> int:
-        if n * self.bits > _EXACT_BITS:
-            raise _exact_refusal()
-        v = self.p * b * self.u**n - a * self.q * self.v**n
-        return (v > 0) - (v < 0)
-
-    def first(self, start: int, a: int, b: int, strict: bool) -> int:
-        if a <= 0:
-            raise _index_refusal()
-        bound = 0 if strict else 1
-        est = (math.log(self.p * b) - math.log(a * self.q)) / self.log_step if self.log_step else math.inf
-        if not est < start + _INDEX_BOUND:
-            return _gallop(self.sign, start, a, b, strict)
-        n = max(start, math.floor(est) + 1)
-        for _ in range(3):  # the estimate is within a step or two of the crossing
-            if self.sign(n, a, b) >= bound:
-                n += 1
-            elif n > start and self.sign(n - 1, a, b) < bound:
-                n -= 1
-            else:
-                return n
-        return _gallop(self.sign, start, a, b, strict)
-
-
-def _compile(term: Term) -> _Dist:
-    """The integer form of a tail's distance term (limit 0, positive)."""
-    if not term.geo and len(term.pw) == 1:
-        return _PowerDist(term)
-    if not term.pw and len(term.geo) == 1:
-        return _GeoDist(term)
-    return _Dist(term)
-
-
-def _gallop(sign: Callable[[int, int, int], int], start: int, a: int, b: int, strict: bool) -> int:
-    """First n >= start with sign(n, a, b) < 0 (<= 0 when not strict), by
-    galloping and then bisecting, for a decreasing term."""
-    bound = 0 if strict else 1
-    if sign(start, a, b) < bound:
-        return start
-    span = 1
-    lo = start
-    while True:
-        hi = start + span
-        if sign(hi, a, b) < bound:
-            break
-        lo = hi
-        span *= 2
-        if span > _INDEX_BOUND:
-            raise _index_refusal()
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if sign(mid, a, b) < bound:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def member_at(tail: _Tail, info: TailInfo, x: Q) -> int | None:

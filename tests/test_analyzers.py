@@ -125,8 +125,6 @@ def test_cardinality_empty():
 
 def test_countable_trace_has_zero_measure_random():
     rng = random.Random(43)
-    from limitlab.analyzers import trace_measure
-
     done = 0
     for _ in range(80):
         expr = rand_set_expr(rng, 1)
@@ -137,7 +135,7 @@ def test_countable_trace_has_zero_measure_random():
             continue
         card = cardinality(tr)
         if card.kind in ("empty", "finite", "countably_infinite"):
-            m = trace_measure(tr)
+            m = measure(tr)
             assert m.value == 0 and m.bound_gap == 0
             done += 1
     assert done >= 20

@@ -176,3 +176,36 @@ def test_out_of_range_input_is_a_typed_error(argv, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_ERROR
     assert payload["error"] == "RangeError"
+
+
+_USAGE_ERRORS = {
+    "missing-set": ["measure"],
+    "decompose-t2": ["decompose", "--fn", "x", "--at", "0", "--value", "0", "--type=t2"],
+    "limit-t9": ["limit", "--fn", "x", "--at=0", "--value=0", "--type=t9"],
+    "unknown-command": ["frobnicate"],
+    "fn-without-value": ["classify", "--fn"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_USAGE_ERRORS.values()), ids=list(_USAGE_ERRORS))
+def test_usage_error_is_an_error_not_undecidable(argv, capsys):
+    # argparse exits 2, which the CLI keeps for undecidable results
+    code = run(["--format", "structured", *argv])
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    payload = json.loads(out)
+    assert set(payload) == {"command", "error", "message"}
+    assert payload["command"] == (None if argv[0] == "frobnicate" else argv[0])
+    assert payload["error"] == "UsageError"
+    assert err == ""
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert out == "" and err == f"error: {payload['message']}\n"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == EXIT_OK
+    assert "usage: limitlab" in capsys.readouterr().out

@@ -27,7 +27,6 @@ from limitlab.analyzers import (
     density_at,
     has_no_accumulation_point,
     measure,
-    trace_measure,
 )
 from limitlab.decompose import decompose
 from limitlab.dsl import fn_to_text, set_to_text
@@ -121,7 +120,7 @@ def _set_record(e, density_points=(Q(0), Q(1, 2))) -> dict:
         "set": set_to_text(e),
         "measure": _attempt(lambda: measure(e), _measure),
         "density": {str(a): _attempt(lambda a=a: density_at(e, a), _density) for a in density_points},
-        "trace_measure": _attempt(lambda: trace_measure(trace()), _measure),
+        "trace_measure": _attempt(lambda: measure(trace()), _measure),
         "cardinality": _attempt(lambda: cardinality(trace()), str),
         "no_accumulation": _attempt(lambda: has_no_accumulation_point(trace()), bool),
     }

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from limitlab.analyzers import cardinality, has_no_accumulation_point, trace_measure
+from limitlab.analyzers import cardinality, has_no_accumulation_point, measure
 from limitlab.errors import UnsupportedIntersection
 from limitlab.functions import PiecewiseFn, exceptional_set, indicator_fn, superlevel_sandwich
 from limitlab.limits import (
@@ -172,7 +172,7 @@ def _window_small(f, a, L, eps, delta, t) -> bool:
         return has_no_accumulation_point(trace)
     if t is T5:
         return cardinality(trace).kind != "uncountable"
-    m = trace_measure(trace)
+    m = measure(trace)
     return m.value == 0 and m.bound_gap == 0
 
 

@@ -335,123 +335,6 @@ def test_geometric_tail_lookup_past_the_exact_budget_refuses():
         contains(parse_set("seq((1/2)^n)"), Q(3, 2**600001))
 
 
-class _TooFar(Exception):
-    """The reference would need an exact geometric power past 2^16."""
-
-
-def _reference_first(term, start, x, strict):
-    """The first n >= start with term(n) < x (<= x when not strict), by
-    galloping and bisecting over exact Fraction comparisons, with the 2^62
-    bound: the search that the integer lookup replaces."""
-
-    def below(n):
-        lo, hi = term.eval_bounds(n)
-        if hi < x or (not strict and hi == x):
-            return True
-        if lo > x or (strict and lo == x):
-            return False
-        if n > 2**16 and term.geo:
-            raise _TooFar
-        v = term.eval(n)
-        return v < x if strict else v <= x
-
-    if below(start):
-        return start
-    lo, span = start, 1
-    while not below(start + span):
-        lo = start + span
-        span *= 2
-        if span > 1 << 62:
-            raise UnsupportedIntersection("tail index search passed 2^62")
-    hi = start + span
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _rand_dist_term(rng, shape):
-    """A positive, strictly decreasing term with limit 0 of the given shape."""
-
-    def coeff():
-        return Q(rng.randint(1, 40), rng.randint(1, 40))
-
-    def power():
-        return (rng.randint(1, 5), rng.randint(0, 4), coeff())
-
-    def geo():
-        q = rng.choice((2, 3, 5, 7, 9, 10, 16, 1000))
-        return (Q(rng.randint(1, q - 1), q), coeff())
-
-    if shape == "power":
-        return Term.make(pw=[power()])
-    if shape == "geo":
-        return Term.make(geo=[geo()])
-    parts = rng.choice((("pw", "geo"), ("pw", "pw"), ("geo", "geo"), ("pw", "geo", "geo")))
-    return Term.make(geo=[geo() for p in parts if p == "geo"], pw=[power() for p in parts if p == "pw"])
-
-
-def _lookup_probes(rng, term, start):
-    """Exact member values, member values moved by 2^-k, and points of the
-    2^-40 dyadic grid that mc_measure samples from."""
-    far = 10**6 if not term.geo else 60
-    idx = [start + i for i in range(4)] + [start + rng.randrange(0, far) for _ in range(4)]
-    xs = [term.eval(n) for n in idx]
-    xs += [v + sign * Q(1, 2 ** rng.randint(1, 80)) for v in xs for sign in (1, -1)]
-    xs += [Q(rng.randrange(1, 2**40), 2**40) for _ in range(6)]
-    return [x for x in xs if x > 0]
-
-
-_GALLOP = sets._gallop
-
-
-@pytest.mark.parametrize("shape", ["power", "geo", "mixed"])
-def test_integer_lookup_matches_the_galloping_reference(monkeypatch, shape):
-    gallops = []
-
-    def counting_gallop(*args):
-        gallops.append(args)
-        return _GALLOP(*args)
-
-    monkeypatch.setattr(sets, "_gallop", counting_gallop)
-    rng = random.Random({"power": 41, "geo": 43, "mixed": 47}[shape])
-    checked = 0
-    for _ in range(100):
-        term = _rand_dist_term(rng, shape)
-        dist = sets._compile(term)
-        start = rng.choice((1, 1, 2, 3, 7, 20))
-        for x in _lookup_probes(rng, term, start):
-            for strict in (True, False):
-                try:
-                    want = _reference_first(term, start, x, strict)
-                except _TooFar:
-                    continue
-                assert dist.first(start, x.numerator, x.denominator, strict) == want, (term, start, x, strict)
-                checked += 1
-    assert checked > 4000
-    # one power monomial or one geometric part never gallops
-    assert (len(gallops) > 0) == (shape == "mixed")
-
-
-def test_integer_lookup_keeps_the_index_bound():
-    # the reference and the integer lookup refuse the same crossings past
-    # start + 2^62, and answer the same at the bound
-    for term, start in ((Term.power(1, 1), 1), (Term.make(pw=[(2, 3, Q(5, 2))]), 7)):
-        dist = sets._compile(term)
-        for x in (term.eval(start + 2**62), term.eval(start + 2**62 + 1), Q(1, 2**70), Q(3, 2**200)):
-            for strict in (True, False):
-                try:
-                    want = _reference_first(term, start, x, strict)
-                except UnsupportedIntersection as exc:
-                    with pytest.raises(UnsupportedIntersection, match=str(exc).replace("^", "\\^")):
-                        dist.first(start, x.numerator, x.denominator, strict)
-                else:
-                    assert dist.first(start, x.numerator, x.denominator, strict) == want
-
-
 def test_membership_agrees_with_the_tree(monkeypatch, dirichlet, cantor_indicator, omega_indicator, identity_fn):
     # membership(e) compiles the testers of e's normal form; _tree_contains
     # tests e node by node without normalizing
