@@ -9,9 +9,9 @@ table over the dominant decay of member widths versus member positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import UndecidableDensity
 from .sets import (
     COUNTABLE_KINDS,
@@ -34,7 +34,7 @@ Q = Fraction
 # --- result types ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CardinalityClass:
     kind: str  # 'empty' | 'finite' | 'countably_infinite' | 'uncountable'
     count: int | None = None
@@ -56,7 +56,7 @@ def card_finite(n: int) -> CardinalityClass:
     return CardinalityClass("finite", n)
 
 
-@dataclass(frozen=True)
+@record
 class MeasureValue:
     value: Q
     certified: bool
@@ -68,7 +68,7 @@ class MeasureValue:
         return self.bound_gap == 0 and not self.infinite
 
 
-@dataclass(frozen=True)
+@record
 class DensityVerdict:
     kind: str  # 'zero' | 'value' | 'positive' | 'undecided'
     value: Q | None = None  # exact limit for 'value'

@@ -14,9 +14,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import record
 from .analyzers import cardinality, density_at, measure
 from .decompose import decompose, verify_decomposition
 from .dsl import fn_to_text, parse_fn, parse_rational, parse_set, rat_text, set_to_text
@@ -32,12 +32,12 @@ EXIT_ERROR = 1
 EXIT_UNDECIDABLE = 2
 
 
-@dataclass
+@record
 class Report:
     command: str
     fields: dict
     exit_code: int = EXIT_OK
-    lines: list = field(default_factory=list)
+    lines: list | tuple = ()
 
     def to_text(self) -> str:
         out = list(self.lines) if self.lines else [

@@ -22,9 +22,9 @@ cannot decide one of the properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .analyzers import cardinality, measure
 from .errors import PrerequisiteNotMet, UnsupportedIntersection
 from .functions import PiecewiseFn, effective_regions, fn_evaluator, nonzero_set, punctured_window
@@ -36,7 +36,7 @@ from .sampling import sample_points
 Q = Fraction
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     g: PiecewiseFn
     h: PiecewiseFn

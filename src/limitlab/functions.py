@@ -14,9 +14,9 @@ the normal-form memo of `sets`.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import (
     DivisionByPossiblyZero,
     NonPolynomialQuotient,
@@ -43,14 +43,14 @@ Q = Fraction
 ROOT_WIDTH = Q(1, 2**20)
 
 
-@dataclass(frozen=True)
+@record
 class PiecewiseFn:
     domain: SetExpr
     branches: tuple[tuple[SetExpr, Poly], ...]
     default: Poly
 
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple((g, p) for g, p in self.branches))
+    def __new__(cls, domain, branches, default):
+        return tuple.__new__(cls, (domain, tuple((g, p) for g, p in branches), default))
 
 
 def piecewise(branches, default, domain: SetExpr = FULL_LINE) -> PiecewiseFn:
@@ -62,7 +62,7 @@ def indicator_fn(guard: SetExpr, domain: SetExpr = FULL_LINE) -> PiecewiseFn:
     return PiecewiseFn(domain, ((guard, Poly.const(1)),), Poly.const(0))
 
 
-@dataclass(frozen=True)
+@record
 class SandwichSet:
     """inner ⊆ S ⊆ outer with |outer \\ inner| <= gap, both normal forms."""
 

@@ -29,9 +29,9 @@ same parts to build its exceptional union.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .analyzers import density_at
 from .errors import UndecidableDensity, UnsupportedIntersection
 from .functions import PiecewiseFn, effective_regions, isolate_superlevel
@@ -64,7 +64,7 @@ class LimitType(enum.Enum):
 CHAIN = ((LimitType.T1, LimitType.T3, LimitType.T4), (LimitType.T5,), (LimitType.T6,), (LimitType.T2,))
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: str  # 'pass' | 'fail' | 'undecidable'
     witness: tuple[tuple[Q, Q], ...] = ()  # (eps, delta) per tested band
@@ -77,13 +77,13 @@ class Verdict:
         return self.status == "fail"
 
 
-@dataclass(frozen=True)
+@record
 class TypeOutcome:
     exists: str  # 'yes' | 'no' | 'undecidable'
     value: Q | None
 
 
-@dataclass(frozen=True)
+@record
 class LimitReport:
     point: Q
     outcomes: dict

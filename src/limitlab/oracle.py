@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .analyzers import measure
 from .errors import RangeError, UnsupportedIntersection
 from .sets import Intersection, SetExpr, membership, open_interval, over_one_denominator
@@ -29,7 +29,7 @@ _GRID_BITS = 40
 MAX_SAMPLES = 1_000_000
 
 
-@dataclass(frozen=True)
+@record
 class SampleConfig:
     seed: int
     samples: int
@@ -37,7 +37,7 @@ class SampleConfig:
     radius: Q
 
 
-@dataclass(frozen=True)
+@record
 class MCEstimate:
     value: float
     three_sigma: float
@@ -70,7 +70,7 @@ def mc_measure(expr: SetExpr, cfg: SampleConfig) -> MCEstimate:
     return MCEstimate(p * float(width), 3 * sigma, hits, cfg.samples)
 
 
-@dataclass(frozen=True)
+@record
 class ProfilePoint:
     delta: Q
     ratio: float

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from ._record import record
 from .errors import RangeError
 
 Q = Fraction
@@ -35,7 +35,7 @@ def _as_q(x) -> Q:
     return x if isinstance(x, Q) else Q(x)
 
 
-@dataclass(frozen=True)
+@record
 class Poly:
     """Polynomial given by coefficients, constant term first; () is zero."""
 

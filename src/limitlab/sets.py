@@ -64,10 +64,10 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
+from ._record import record
 from .errors import RangeError, UnsupportedIntersection
 from .terms import Term, _compile, _Dist
 
@@ -87,6 +87,8 @@ class SetExpr:
     all the points the test is called on.
     """
 
+    __slots__ = ()
+
     def contains(self, x: Q) -> bool:
         return self.tester()(x)
 
@@ -103,7 +105,7 @@ class SetExpr:
         return Difference(self, other)
 
 
-@dataclass(frozen=True)
+@record
 class EmptySet(SetExpr):
     def tester(self) -> Callable[[Q], bool]:
         return _never
@@ -114,6 +116,8 @@ EMPTY = EmptySet()
 
 class _BoxAtom(SetExpr):
     """An interval or the rationals in one: its germ facts are box()'s."""
+
+    __slots__ = ()
 
     def reaches(self, a: Q) -> bool:
         return _iv_distance(self.box(), a) == 0  # boxes are nondegenerate
@@ -138,7 +142,7 @@ class _BoxAtom(SetExpr):
         return out
 
 
-@dataclass(frozen=True)
+@record
 class Interval(_BoxAtom):
     """lo/hi None mean unbounded; unbounded ends are always open.
 
@@ -184,7 +188,7 @@ class Interval(_BoxAtom):
 FULL_LINE = Interval(None, None, False, False)
 
 
-@dataclass(frozen=True)
+@record
 class FinitePoints(SetExpr):
     kind = "points"
     rank = 1
@@ -205,7 +209,7 @@ class FinitePoints(SetExpr):
         return list(self.points)
 
 
-@dataclass(frozen=True)
+@record
 class RationalsIn(_BoxAtom):
     kind = "rationals"
     rank = 2
@@ -219,7 +223,7 @@ class RationalsIn(_BoxAtom):
         return self.iv
 
 
-@dataclass(frozen=True)
+@record
 class CantorAffine(SetExpr):
     """{offset + scale*c : c in the middle-thirds Cantor set}, clipped.
 
@@ -316,6 +320,8 @@ class _Tail(SetExpr):
     box(), reaches, distance_floor, germ_kind and candidates are asked of
     canonical tails."""
 
+    __slots__ = ()
+
     def tester(self) -> Callable[[Q], bool]:
         return _lazy(partial(_tail_tester, self))
 
@@ -336,7 +342,7 @@ class _Tail(SetExpr):
         return nearer
 
 
-@dataclass(frozen=True)
+@record
 class Sequence(_Tail):
     """{term(n) : n >= start}; the term is non-constant."""
 
@@ -362,7 +368,7 @@ class Sequence(_Tail):
         return [self.term.eval(self.start + rng.randrange(0, 64)) for _ in range(want)]
 
 
-@dataclass(frozen=True)
+@record
 class IntervalFamily(_Tail):
     """Union over n >= start of the intervals [lo(n), hi(n)] (flags chosen
     by lo_incl/hi_incl).  Requires lo(n) <= hi(n) for every index."""
@@ -420,29 +426,29 @@ COUNTABLE_KINDS = frozenset({RationalsIn.kind, Sequence.kind})
 NULL_KINDS = COUNTABLE_KINDS | {CantorAffine.kind}
 
 
-@dataclass(frozen=True)
+@record
 class Union(SetExpr):
     args: tuple
 
-    def __init__(self, args):
-        object.__setattr__(self, "args", tuple(args))
+    def __new__(cls, args):
+        return tuple.__new__(cls, (tuple(args),))
 
     def tester(self) -> Callable[[Q], bool]:
         return _any_of([a.tester() for a in self.args])
 
 
-@dataclass(frozen=True)
+@record
 class Intersection(SetExpr):
     args: tuple
 
-    def __init__(self, args):
-        object.__setattr__(self, "args", tuple(args))
+    def __new__(cls, args):
+        return tuple.__new__(cls, (tuple(args),))
 
     def tester(self) -> Callable[[Q], bool]:
         return _all_of([a.tester() for a in self.args])
 
 
-@dataclass(frozen=True)
+@record
 class Difference(SetExpr):
     left: SetExpr
     right: SetExpr
@@ -795,7 +801,7 @@ def family(lo: Term, hi: Term, lo_incl: bool = True, hi_incl: bool = False, star
     return IntervalFamily(lo, hi, lo_incl, hi_incl, start)
 
 
-@dataclass(frozen=True)
+@record
 class TailInfo:
     """The shape of a canonical tail, whatever its start.  Its members lie
     on side s of the limit (+1 right, -1 left).  near and far are the terms
@@ -1009,7 +1015,7 @@ def _tail_clip(tail: _Tail, box: Interval) -> list[Piece]:
     rest = None
     if near is None or near[0] <= 0:
         cut = tail.start if far is None else info.far.first(tail.start, far[0], far[1], info.far_incl and not far[2])
-        rest = replace(tail, start=cut)
+        rest = tail._replace(start=cut)
     else:
         cut = info.far.first(tail.start, near[0], near[1], True)
     out = [q for m in _members(tail, cut) for q in _core_intersect(m, box)]
@@ -1021,7 +1027,7 @@ def _tail_clip(tail: _Tail, box: Interval) -> list[Piece]:
 # --- pieces and normal forms -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Piece:
     """core minus the union of the removal atoms.
 
@@ -1053,7 +1059,7 @@ def piece_tester(piece: Piece) -> Callable[[Q], bool]:
     return lambda x: core(x) and not removed(x)
 
 
-@dataclass(frozen=True)
+@record
 class Normal(SetExpr):
     """A normal form: the union of its disjoint pieces, sorted by
     _piece_rank.  A set expression node that _normal returns unchanged;
@@ -1276,7 +1282,7 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
         cut = 1 + max(member_at(a, info, p) for p in relevant)
         removed = FinitePoints(tuple(sorted(relevant)))
         out = [q for m in _members(a, cut) for q in _core_subtract(m, removed)]
-        return out + [Piece(replace(a, start=cut), ())]
+        return out + [Piece(a._replace(start=cut), ())]
     # each point splits every piece holding it along the two open half-lines
     # at the point
     pieces = [a]
@@ -1318,7 +1324,7 @@ def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
     if isinstance(core, (CantorAffine, IntervalFamily)):
         if core == tail:
             return []
-        if isinstance(core, IntervalFamily) and replace(core, start=tail.start) == tail:
+        if isinstance(core, IntervalFamily) and core._replace(start=tail.start) == tail:
             return [Piece(m, p.removals) for m in _members(core, tail.start)]
         if _iv_disjoint(core.box(), hull):
             return [p]

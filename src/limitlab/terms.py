@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import RangeError, UndecidableDensity, UnsupportedIntersection
 from .poly import Poly, rat_text, signed_text
 
@@ -38,14 +38,14 @@ _EXP_CAP = 8192
 
 _MAX_TAIL_TERMS = 4096  # exact rational prefix sums grow superlinearly in size
 
-# Index searches stop at start + 2^62, and exact comparisons expand a
-# geometric part's r^n only while n times the bit length of r's denominator
-# stays within _EXACT_BITS; past either bound a lookup refuses.
+# Index searches stop at start + 2^62, and exact values and comparisons
+# expand a geometric part's r^n only while n times the bit length of r's
+# denominator stays within _EXACT_BITS; past either bound a lookup refuses.
 _INDEX_BOUND = 1 << 62
 _EXACT_BITS = 1 << 20
 
 
-@dataclass(frozen=True)
+@record
 class Term:
     const: Q
     geo: tuple[tuple[Q, Q], ...]  # (ratio, coeff), 0 < ratio < 1, sorted by ratio desc
@@ -122,6 +122,8 @@ class Term:
             raise ValueError("terms are indexed from 1")
         acc = self.const
         for r, c in self.geo:
+            if n * r.denominator.bit_length() > _EXACT_BITS:
+                raise _exact_refusal()
             acc += c * r**n
         for k, s, c in self.pw:
             acc += c / Q(n + s) ** k
@@ -353,7 +355,6 @@ class _Dist:
 
     def __init__(self, term: Term):
         self.term = term
-        self.bits = max((r.denominator.bit_length() for r, _ in term.geo), default=0)
 
     def sign(self, n: int, a: int, b: int) -> int:
         x = Q(a, b)
@@ -362,8 +363,6 @@ class _Dist:
             return 1
         if hi < x:
             return -1
-        if n * self.bits > _EXACT_BITS:
-            raise _exact_refusal()
         v = self.term.eval(n)
         return (v > x) - (v < x)
 
@@ -412,7 +411,7 @@ class _GeoDist(_Dist):
         self.log_step = math.log1p((self.v - self.u) / self.u)  # log(1/r) > 0
 
     def sign(self, n: int, a: int, b: int) -> int:
-        if n * self.bits > _EXACT_BITS:
+        if n * self.v.bit_length() > _EXACT_BITS:
             raise _exact_refusal()
         v = self.p * b * self.u**n - a * self.q * self.v**n
         return (v > 0) - (v < 0)

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction as Q
 from functools import partial
@@ -333,6 +334,16 @@ def test_geometric_tail_lookup_past_the_exact_budget_refuses():
     # exact comparison may build
     with pytest.raises(UnsupportedIntersection, match="2\\^20 bits"):
         contains(parse_set("seq((1/2)^n)"), Q(3, 2**600001))
+
+
+@pytest.mark.parametrize("text", ["seq((1/2)^n, 100000000000)", "family(1/n - (1/2)^n, 1/n, 100000000000)"])
+def test_geometric_tail_with_a_far_start_refuses_at_once(text):
+    # the first member holds (1/2)^(10^11), 10^11 bits long: its value, like
+    # an exact comparison, refuses past 2^20 bits instead of building it
+    began = time.perf_counter()
+    with pytest.raises(UnsupportedIntersection, match="2\\^20 bits"):
+        measure(parse_set(text))
+    assert time.perf_counter() - began < 1
 
 
 def test_membership_agrees_with_the_tree(monkeypatch, dirichlet, cantor_indicator, omega_indicator, identity_fn):
