@@ -43,6 +43,8 @@ from typing import NamedTuple
 from .errors import DslSyntaxError, RangeError, UnknownAtom
 from .poly import Poly, rat_text
 from .sets import (
+    CUT_BOTTOM,
+    CUT_TOP,
     EMPTY,
     FULL_LINE,
     CantorAffine,
@@ -58,9 +60,11 @@ from .sets import (
     SetExpr,
     Union,
     _clip_cantor,
+    between,
     cantor_affine,
     family,
-    interval,
+    high_cut,
+    low_cut,
     points,
     rationals_in,
     sequence,
@@ -193,13 +197,14 @@ class _Parser:
         q = Q(num, den)
         return -q if neg else q
 
-    def parse_extended_rational(self) -> Q | None:
+    def parse_extended_rational(self) -> Q | tuple:
+        """A rational; -inf and inf are the cuts below and above every one."""
         if self.accept("inf"):
-            return None
+            return CUT_TOP
         if self.tok.kind == "-" and self.peek().text == "inf":
             self.next()
             self.next()
-            return None
+            return CUT_BOTTOM
         return self.parse_rational()
 
     # --- signed sums: closed-form terms and polynomials ---------------------
@@ -371,7 +376,10 @@ class _Parser:
         if close_tok.kind not in ("]", ")"):
             self.fail("expected ']' or ')' to close an interval")
         self.next()
-        return interval(lo, hi, open_tok.kind == "[" and lo is not None, close_tok.kind == "]" and hi is not None)
+        # an infinite end is its cut on either side, so (inf, 1) is empty
+        low = lo if isinstance(lo, tuple) else low_cut(lo, open_tok.kind == "[")
+        high = hi if isinstance(hi, tuple) else high_cut(hi, close_tok.kind == "]")
+        return between(low, high)
 
     # --- functions -------------------------------------------------------------
 

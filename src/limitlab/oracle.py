@@ -14,7 +14,6 @@ under-counts them.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
 
@@ -47,6 +46,8 @@ class MCEstimate:
 
 def _grid_index(seed: int, index: int) -> int:
     """The grid point j of sample `index`: the window point is lo + width*j/2^40."""
+    import hashlib  # here, so that a CLI request that draws no sample does not load it
+
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % (1 << _GRID_BITS)
 

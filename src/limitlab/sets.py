@@ -19,6 +19,13 @@ into a tree of atoms (Normal.to_expr); normalizing that tree gives the
 same Normal back.  One memo (_normal_or_refusal), keyed by expression, holds
 each tree's normal form or the message of its refusal.
 
+Interval ends compare as cuts, sortable tuples between the rationals:
+(0, v, False) just below v, (0, v, True) just above it, and CUT_BOTTOM and
+CUT_TOP below and above every finite cut.  [v and (v have the low cuts
+below and above v, and v] and v) the high cuts above and below it.  An
+interval is its pair of cuts (Interval.low, Interval.high), nonempty when
+low < high, so each question of the interval algebra is one comparison.
+
 Every atom carries its own facts, so no other module asks an atom for its
 class: `kind` and `rank` (its germ kind and its place in a normal form),
 box() (the closed interval it lies in; every atom but FinitePoints),
@@ -172,6 +179,16 @@ class Interval(_BoxAtom):
             return n * ld - ln * d >= lo_min and hn * d - n * hd >= hi_min
 
         return test
+
+    @property
+    def low(self) -> tuple:
+        """The cut of its low end (see the module docstring): low_cut(lo, lo_incl)."""
+        return CUT_BOTTOM if self.lo is None else (0, self.lo, not self.lo_incl)
+
+    @property
+    def high(self) -> tuple:
+        """The cut of its high end: high_cut(hi, hi_incl)."""
+        return CUT_TOP if self.hi is None else (0, self.hi, self.hi_incl)
 
     def box(self) -> Interval:
         return self
@@ -513,22 +530,35 @@ def _lazy(build: Callable[[], Callable[[Q], bool]]) -> Callable[[Q], bool]:
 
 # --- interval construction and algebra -------------------------------------
 
+# Interval ends are cuts (see the module docstring).  The flag of each
+# sentinel is the one that between() reads back as an open end.
+CUT_BOTTOM, CUT_TOP = (-1, None, True), (1, None, False)
+
+
+def low_cut(lo: Q | None, incl: bool) -> tuple:
+    return CUT_BOTTOM if lo is None else (0, lo, not incl)
+
+
+def high_cut(hi: Q | None, incl: bool) -> tuple:
+    return CUT_TOP if hi is None else (0, hi, incl)
+
+
+def between(low: tuple, high: tuple) -> SetExpr:
+    """The set from cut low to cut high: EMPTY, one point or an Interval."""
+    if low >= high:
+        return EMPTY
+    lo, hi = low[1], high[1]
+    if not low[2] and high[2] and lo == hi:  # from just below lo to just above it
+        return FinitePoints((lo,))
+    return Interval(lo, hi, not low[2], high[2])
+
 
 def interval(lo, hi, lo_incl=True, hi_incl=True) -> SetExpr:
     if lo is not None and not isinstance(lo, Q):
         lo = Q(lo)
     if hi is not None and not isinstance(hi, Q):
         hi = Q(hi)
-    if lo is None:
-        lo_incl = False
-    if hi is None:
-        hi_incl = False
-    if lo is not None and hi is not None:
-        if lo > hi:
-            return EMPTY
-        if lo == hi:
-            return FinitePoints((lo,)) if (lo_incl and hi_incl) else EMPTY
-    return Interval(lo, hi, lo_incl, hi_incl)
+    return between(low_cut(lo, lo_incl), high_cut(hi, hi_incl))
 
 
 def open_interval(lo, hi) -> SetExpr:
@@ -550,104 +580,37 @@ def rationals_in(iv: SetExpr) -> SetExpr:
 
 
 def iv_intersect(a: Interval, b: Interval) -> SetExpr:
-    if a.lo is None:
-        lo, lo_incl = b.lo, b.lo_incl
-    elif b.lo is None or a.lo > b.lo:
-        lo, lo_incl = a.lo, a.lo_incl
-    elif b.lo > a.lo:
-        lo, lo_incl = b.lo, b.lo_incl
-    else:
-        lo, lo_incl = a.lo, a.lo_incl and b.lo_incl
-    if a.hi is None:
-        hi, hi_incl = b.hi, b.hi_incl
-    elif b.hi is None or a.hi < b.hi:
-        hi, hi_incl = a.hi, a.hi_incl
-    elif b.hi < a.hi:
-        hi, hi_incl = b.hi, b.hi_incl
-    else:
-        hi, hi_incl = a.hi, a.hi_incl and b.hi_incl
-    return interval(lo, hi, lo_incl, hi_incl)
+    return between(max(a.low, b.low), min(a.high, b.high))
 
 
 def iv_complement(b: Interval) -> list[Interval]:
-    out = []
-    if b.lo is not None:
-        piece = interval(None, b.lo, False, not b.lo_incl)
-        if isinstance(piece, Interval):
-            out.append(piece)
-    if b.hi is not None:
-        piece = interval(b.hi, None, not b.hi_incl, False)
-        if isinstance(piece, Interval):
-            out.append(piece)
-    return out
-
-
-def iv_subtract(a: Interval, b: Interval) -> list[SetExpr]:
-    out = []
-    for c in iv_complement(b):
-        r = iv_intersect(a, c)
-        if not isinstance(r, EmptySet):
-            out.append(r)
-    return out
+    pieces = (between(CUT_BOTTOM, b.low), between(b.high, CUT_TOP))
+    return [piece for piece in pieces if piece is not EMPTY]
 
 
 def _iv_covers(a: Interval, b: Interval) -> bool:
     """a is a superset of b."""
-    if a.lo is not None:
-        if b.lo is None:
-            return False
-        if b.lo < a.lo or (b.lo == a.lo and b.lo_incl and not a.lo_incl):
-            return False
-    if a.hi is not None:
-        if b.hi is None:
-            return False
-        if b.hi > a.hi or (b.hi == a.hi and b.hi_incl and not a.hi_incl):
-            return False
-    return True
+    return a.low <= b.low and b.high <= a.high
 
 
 def _iv_disjoint(a: Interval, b: Interval) -> bool:
-    return isinstance(iv_intersect(a, b), EmptySet)
+    return max(a.low, b.low) >= min(a.high, b.high)
 
 
 def _iv_mergeable(a: Interval, b: Interval) -> bool:
     """Union of a and b is a single interval (overlap or compatible touch)."""
-    if a.lo is not None and (b.hi is not None):
-        if b.hi < a.lo or (b.hi == a.lo and not (b.hi_incl or a.lo_incl)):
-            return False
-    if a.hi is not None and (b.lo is not None):
-        if a.hi < b.lo or (a.hi == b.lo and not (a.hi_incl or b.lo_incl)):
-            return False
-    return True
+    return a.low <= b.high and b.low <= a.high
 
 
 def _iv_hull(a: Interval, b: Interval) -> Interval:
-    if a.lo is None or b.lo is None:
-        lo, lo_incl = None, False
-    elif a.lo < b.lo:
-        lo, lo_incl = a.lo, a.lo_incl
-    elif b.lo < a.lo:
-        lo, lo_incl = b.lo, b.lo_incl
-    else:
-        lo, lo_incl = a.lo, a.lo_incl or b.lo_incl
-    if a.hi is None or b.hi is None:
-        hi, hi_incl = None, False
-    elif a.hi > b.hi:
-        hi, hi_incl = a.hi, a.hi_incl
-    elif b.hi > a.hi:
-        hi, hi_incl = b.hi, b.hi_incl
-    else:
-        hi, hi_incl = a.hi, a.hi_incl or b.hi_incl
-    return Interval(lo, hi, lo_incl, hi_incl)
+    return between(min(a.low, b.low), max(a.high, b.high))
 
 
 def merge_intervals(ivs: list[Interval]) -> list[Interval]:
-    def lo_key(iv):
-        return (0, iv.lo, 0 if iv.lo_incl else 1) if iv.lo is not None else (-1, Q(0), 0)
-
+    """The union of the intervals as sorted intervals, no two mergeable."""
     out: list[Interval] = []
-    for iv in sorted(ivs, key=lo_key):
-        if out and _iv_mergeable(out[-1], iv):
+    for iv in sorted(ivs, key=lambda iv: iv.low):
+        if out and iv.low <= out[-1].high:
             out[-1] = _iv_hull(out[-1], iv)
         else:
             out.append(iv)
@@ -666,10 +629,10 @@ def _iv_distance(iv: Interval, a: Q) -> Q:
 def covered_sides(iv: Interval, a: Q) -> set[int]:
     """Sides of a (-1 left, +1 right) on which iv covers a one-sided
     neighbourhood of a."""
-    sides = set()
-    if (iv.lo is None or iv.lo < a) and (iv.hi is None or iv.hi >= a):
+    below, above, sides = (0, a, False), (0, a, True), set()
+    if iv.low < below <= iv.high:
         sides.add(-1)
-    if (iv.hi is None or iv.hi > a) and (iv.lo is None or iv.lo <= a):
+    if iv.low <= above < iv.high:
         sides.add(1)
     return sides
 
@@ -1248,13 +1211,7 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
             return [Piece(a, ())]
         raise UnsupportedIntersection("difference with a sequence is outside the algebra")
     if tb is IntervalFamily:
-        head, tail, _ = _resolve(b)
-        pieces = [Piece(a, ())]
-        for h in head:
-            pieces = [q for p in pieces for q in _piece_subtract(p, h)]
-        if tail is not None:
-            pieces = [q for p in pieces for q in _piece_subtract_family_tail(p, tail)]
-        return pieces
+        return _piece_subtract_family_tail(Piece(a, ()), b)  # b is a canonical tail
     raise AssertionError(f"unhandled difference {ta} \\ {tb}")
 
 
@@ -1301,8 +1258,6 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
 def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
     core = p.core
     hull = tail.box()
-    if isinstance(core, FinitePoints):
-        return _piece_subtract_atom(p, tail)
     if isinstance(core, (Interval, RationalsIn)):
         if _iv_disjoint(core.box(), hull):
             return [p]
@@ -1322,8 +1277,6 @@ def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
             return [p]
         raise UnsupportedIntersection("sequence minus an overlapping family tail")
     if isinstance(core, (CantorAffine, IntervalFamily)):
-        if core == tail:
-            return []
         if isinstance(core, IntervalFamily) and core._replace(start=tail.start) == tail:
             return [Piece(m, p.removals) for m in _members(core, tail.start)]
         if _iv_disjoint(core.box(), hull):
@@ -1531,17 +1484,18 @@ def _uncovered_tail(tail: _Tail, covers: list[Interval]) -> list[Piece]:
 
 
 def _uncovered(iv: Interval, solids: list[Interval]) -> tuple[list[Interval], list[Q]]:
-    """iv minus the union of the solids: its intervals and its single points."""
-    segs, ends = [iv], []
-    for s in solids:
-        nxt = []
-        for seg in segs:
-            for piece in iv_subtract(seg, s):
-                if isinstance(piece, Interval):
-                    nxt.append(piece)
-                else:
-                    ends.extend(piece.points)
-        segs = nxt
+    """iv minus the union of the solids, which merge_intervals has merged:
+    its intervals and its single points, from iv's parts in the gaps
+    between the solids."""
+    segs, ends = [], []
+    gap_lows = [CUT_BOTTOM] + [s.high for s in solids]
+    gap_highs = [s.low for s in solids] + [CUT_TOP]
+    for gap_low, gap_high in zip(gap_lows, gap_highs):
+        piece = between(max(iv.low, gap_low), min(iv.high, gap_high))
+        if isinstance(piece, Interval):
+            segs.append(piece)
+        elif piece is not EMPTY:
+            ends.extend(piece.points)
     return segs, ends
 
 

@@ -6,16 +6,20 @@ from pathlib import Path
 import pytest
 
 from conftest import corpus, rand_rat, rand_set_expr
+from limitlab.analyzers import measure
 from limitlab.dsl import fn_to_text, parse_fn, parse_rational, parse_set, rat_text, set_to_text
 from limitlab.errors import DslSyntaxError, LimitLabError, RangeError, UnknownAtom
 from limitlab.functions import PiecewiseFn
 from limitlab.sets import (
+    EMPTY,
     FULL_LINE,
     CantorAffine,
     IntervalFamily,
     RationalsIn,
     Sequence,
     Union,
+    contains,
+    interval,
     normalize,
 )
 
@@ -96,6 +100,24 @@ def test_numerals_are_decimal_digits():
     with pytest.raises(DslSyntaxError, match="unexpected character") as err:
         parse_set("[0, \u00b2]")
     assert (err.value.line, err.value.column) == (1, 5)
+
+
+@pytest.mark.parametrize("text", ["(inf, 1)", "(1, -inf)", "(-inf, -inf)", "[inf, inf]", "(inf, -inf)"])
+def test_an_infinity_on_the_wrong_side_gives_the_empty_set(text):
+    # -inf and inf lie below and above every rational on either side of an
+    # interval, so these are empty as [1, 0] is
+    e = parse_set(text)
+    m = measure(e)
+    assert e == EMPTY and m.value == 0 and m.exact
+    assert not any(contains(e, x) for x in (-5, -1, 0, 1, 5))
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("(-inf, inf)", FULL_LINE), ("[-inf, 1]", interval(None, 1)), ("[1, inf]", interval(1, None))],
+)
+def test_an_infinity_on_its_own_side_is_an_open_unbounded_end(text, want):
+    assert parse_set(text) == want
 
 
 def test_parse_fn_examples(dirichlet, cantor_indicator):

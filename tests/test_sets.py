@@ -948,3 +948,118 @@ def test_sequence_minus_itself_is_empty(text):
 def test_removed_cantor_point_is_not_contained():
     expr = parse_set("cantor(-1/2,-1) & ([-1,1/8) \\ cantor(-3/4,1/2))")
     assert not contains(expr, Q(-3, 4))
+
+
+# --- the interval algebra against point membership ---------------------------------
+# Every interval with ends in {-inf, -1, 0, 1/2, 1, inf}, each finite end in
+# or out.  The ends lie on a grid, and every nonempty piece the helpers make
+# of these intervals holds a probe: a grid point, a midpoint between two, or
+# a point beyond the ends.  So each set question is decided on the probes,
+# and a one-sided one at a grid point a on a - 1/1000 or a + 1/1000.
+
+_GRID = (Q(-1), Q(0), Q(1, 2), Q(1))
+_PROBES = (Q(-2), Q(-1), Q(-1, 2), Q(0), Q(1, 4), Q(1, 2), Q(3, 4), Q(1), Q(2))
+_EPS = Q(1, 1000)
+_IVS = list(
+    dict.fromkeys(
+        iv
+        for lo in (None, *_GRID)
+        for hi in (*_GRID, None)
+        for lo_incl in (False, True)
+        for hi_incl in (False, True)
+        if isinstance(iv := interval(lo, hi, lo_incl, hi_incl), Interval)
+    )
+)
+
+
+def _held(pieces) -> tuple[bool, ...]:
+    return tuple(any(p.contains(x) for p in pieces) for x in _PROBES)
+
+
+def _assert_canonical(s):
+    """EMPTY, one point, or an Interval with open unbounded ends and lo < hi."""
+    if isinstance(s, FinitePoints):
+        assert len(s.points) == 1, s
+    elif isinstance(s, Interval):
+        assert type(s.lo_incl) is bool and type(s.hi_incl) is bool, s
+        assert (s.lo is not None or not s.lo_incl) and (s.hi is not None or not s.hi_incl), s
+        assert s.lo is None or s.hi is None or s.lo < s.hi, s
+    else:
+        assert s is EMPTY, s
+
+
+def _hull_held(pieces) -> tuple[bool, ...]:
+    """The probes between two held probes."""
+    held = [x for x, h in zip(_PROBES, _held(pieces)) if h]
+    return tuple(bool(held) and held[0] <= x <= held[-1] for x in _PROBES)
+
+
+def _runs(held: tuple[bool, ...]) -> int:
+    return sum(1 for i, h in enumerate(held) if h and (i == 0 or not held[i - 1]))
+
+
+def test_interval_construction_against_point_membership():
+    for lo in (None, *_GRID):
+        for hi in (*_GRID, None):
+            for lo_incl in (False, True):
+                for hi_incl in (False, True):
+                    s = interval(lo, hi, lo_incl, hi_incl)
+                    _assert_canonical(s)
+                    want = tuple(
+                        (lo is None or x > lo or x == lo and lo_incl) and (hi is None or x < hi or x == hi and hi_incl)
+                        for x in _PROBES
+                    )
+                    assert _held([s]) == want, (lo, hi, lo_incl, hi_incl, s)
+
+
+def test_interval_pair_questions_against_point_membership():
+    for a in _IVS:
+        ha = _held([a])
+        complement = sets.iv_complement(a)
+        for piece in complement:
+            assert isinstance(piece, Interval), (a, piece)
+            _assert_canonical(piece)
+        assert _held(complement) == tuple(not h for h in ha), a
+        for b in _IVS:
+            hb = _held([b])
+            both = tuple(x and y for x, y in zip(ha, hb))
+            either = tuple(x or y for x, y in zip(ha, hb))
+            meet = sets.iv_intersect(a, b)
+            _assert_canonical(meet)
+            assert _held([meet]) == both, (a, b, meet)
+            hull = sets._iv_hull(a, b)
+            assert isinstance(hull, Interval), (a, b, hull)
+            _assert_canonical(hull)
+            assert _held([hull]) == _hull_held([a, b]), (a, b, hull)
+            assert sets._iv_covers(a, b) == all(x or not y for x, y in zip(ha, hb)), (a, b)
+            assert sets._iv_disjoint(a, b) == (not any(both)), (a, b)
+            assert sets._iv_mergeable(a, b) == (_runs(either) == 1), (a, b)
+            merged = sets.merge_intervals([a, b])
+            for piece in merged:
+                _assert_canonical(piece)
+            assert _held(merged) == either and len(merged) == _runs(either), (a, b, merged)
+            firsts = [_PROBES.index(next(x for x in _PROBES if piece.contains(x))) for piece in merged]
+            assert firsts == sorted(firsts), (a, b, merged)
+
+
+def test_covered_sides_against_one_sided_membership():
+    for iv in _IVS:
+        for a in (*_GRID, Q(1, 4)):
+            want = {side for side in (-1, 1) if iv.contains(a + side * _EPS)}
+            assert sets.covered_sides(iv, a) == want, (iv, a)
+
+
+def test_uncovered_against_point_membership():
+    for i, b in enumerate(_IVS):
+        for c in _IVS[i:]:
+            solids = sets.merge_intervals([b, c])
+            covered = _held(solids)
+            for iv in _IVS:
+                segs, ends = sets._uncovered(iv, solids)
+                for seg in segs:
+                    assert isinstance(seg, Interval), (iv, solids, seg)
+                    _assert_canonical(seg)
+                pieces = segs + [points(p) for p in ends]
+                want = tuple(x and not y for x, y in zip(_held([iv]), covered))
+                assert _held(pieces) == want, (iv, solids, segs, ends)
+                assert len(pieces) == _runs(want), (iv, solids, segs, ends)
