@@ -56,6 +56,8 @@ scale as integers), and membership(expr) joins the testers of the normal
 form's pieces into one.  Unions, intersections and differences have
 testers built from their arguments', which test a tree that is refused.  A
 lookup that can refuse runs on the first point that reaches its atom.
+membership caches the tester of the last 32 sets, keyed by expression, so
+queries on an equal tree share one tester and the tail testers it built.
 
 A sequence is an interval family whose members are single closed points,
 so both kinds share one tail layer.  _resolve splits either, once, into a
@@ -1559,14 +1561,21 @@ def normalize(expr: SetExpr) -> SetExpr:
     return _normal(expr).to_expr()
 
 
+# A bound keeps the table from growing with the requests (ROADMAP item 3).
+# A set query asks about one set; a decomposition check about f's domain and
+# guards, g's union and h's clipped parts, at most 17 in 6,000 benchmark
+# requests.  h's parts are not capped, so a larger check can evict f's
+# guards: that costs rebuilds, never answers.
+@lru_cache(maxsize=32)
 def membership(expr: SetExpr) -> Callable[[Q], bool]:
-    """Exact membership test of expr on rationals, resolved once: the
-    testers of the normal form's pieces.  A tree that is refused is tested
-    by its own tester() instead: a union tries its arguments in order, an
-    intersection needs all of them in order, a difference tests its left
-    side and then its right, and a sequence or family resolves on the first
-    point that reaches it.  A resolution that refuses raises the same
-    UnsupportedIntersection at each point that reaches the atom."""
+    """Exact membership test of expr on rationals, resolved once and cached,
+    keyed by expression, for the last 32 sets: the testers of the normal
+    form's pieces.  A tree that is refused is tested by its own tester()
+    instead: a union tries its arguments in order, an intersection needs all
+    of them in order, a difference tests its left side and then its right,
+    and a sequence or family resolves on the first point that reaches it.  A
+    resolution that refuses raises the same UnsupportedIntersection at each
+    point that reaches the atom, from a cached test too."""
     try:
         normal = _normal(expr)
     except UnsupportedIntersection:
@@ -1575,10 +1584,11 @@ def membership(expr: SetExpr) -> Callable[[Q], bool]:
 
 
 def contains(expr: SetExpr, x) -> bool:
-    """Exact membership.  A tree that does not normalize is tested node by
-    node, so a union can still answer; the test raises
-    UnsupportedIntersection only when the point reaches an atom that cannot
-    be resolved, such as a sequence whose head is too large to materialize."""
+    """Exact membership by the cached test of membership(expr).  A tree that
+    does not normalize is tested node by node, so a union can still answer;
+    the test raises UnsupportedIntersection only when the point reaches an
+    atom that cannot be resolved, such as a sequence whose head is too large
+    to materialize."""
     return membership(expr)(Q(x))
 
 

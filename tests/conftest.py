@@ -193,6 +193,19 @@ def certified_fn(rng: random.Random, a: Q, t6: bool, constant_only: bool = False
     return f, base(a)
 
 
+def certified_pairs(t6: bool, count: int):
+    """(a, f1, L1, f2, L2): two functions with certified limits at one point,
+    for the limit arithmetic of the theorems."""
+    rng = random.Random(4242 if t6 else 2323)
+    pairs = []
+    while len(pairs) < count:
+        a = rng.choice(CORPUS_POINTS)
+        f1, L1 = certified_fn(rng, a, t6)
+        f2, L2 = certified_fn(rng, a, t6)
+        pairs.append((a, f1, L1, f2, L2))
+    return pairs
+
+
 # --- random set expressions for algebra properties ---------------------------------
 
 

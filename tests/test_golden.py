@@ -9,7 +9,9 @@ images x -> -x of all of them (functions at -a, densities at 0 and -1/2),
 so that tails approaching a point from the left are pinned as well as from
 the right, together with `sample_points(e, 16)` for every set and its mirror.
 It also keeps the classify matrix and outcomes for `corpus(2024, 200)`, the
-corpus of `test_theorems.py`.  A refactor must leave it byte-identical.
+corpus of `test_theorems.py`, and the T5 and T6 limit arithmetic of that file:
+for each certified pair, the `check` verdict of `fn_add` and `fn_mul` at the
+sum and product of the limits.  A refactor must leave it byte-identical.
 
 Rewrite the file after a deliberate behaviour change with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -31,13 +33,13 @@ from limitlab.analyzers import (
 from limitlab.decompose import decompose
 from limitlab.dsl import fn_to_text, set_to_text
 from limitlab.errors import LimitLabError
-from limitlab.functions import indicator_fn
+from limitlab.functions import fn_add, fn_mul, indicator_fn
 from limitlab.limits import LimitType, check, classify, uniqueness_precondition
 from limitlab.sampling import sample_points
 from limitlab.sets import FULL_LINE, cantor_affine, family, rationals_in, window_trace
 from limitlab.terms import Term
 
-from conftest import corpus, mirror, mirror_fn, rand_set_expr
+from conftest import certified_pairs, corpus, mirror, mirror_fn, rand_set_expr
 
 GOLDEN = Path(__file__).parent / "golden" / "verdicts.json"
 
@@ -126,6 +128,22 @@ def _set_record(e, density_points=(Q(0), Q(1, 2))) -> dict:
     }
 
 
+def _arithmetic_records(t: LimitType) -> list:
+    out = []
+    for i, (a, f1, L1, f2, L2) in enumerate(certified_pairs(t is LimitType.T6, 30)):
+        for name, op, L in (("add", fn_add, L1 + L2), ("mul", fn_mul, L1 * L2)):
+            out.append(
+                {
+                    "name": f"{t.value} pair[{i}] {name}",
+                    "fn": _attempt(lambda: op(f1, f2), fn_to_text),
+                    "a": _q(a),
+                    "L": _q(L),
+                    "check": _attempt(lambda: check(op(f1, f2), a, L, t), _verdict),
+                }
+            )
+    return out
+
+
 def _samples_record(e) -> dict:
     return {
         "set": set_to_text(e),
@@ -146,6 +164,7 @@ def golden_records() -> dict:
     theorems = [
         _report_record(f"corpus2024[{i}]", f, a, classify(f, a)) for i, (f, a) in enumerate(corpus(2024, 200))
     ]
+    theorems += _arithmetic_records(LimitType.T5) + _arithmetic_records(LimitType.T6)
     return {"functions": functions, "sets": sets, "samples": samples, "theorems": theorems}
 
 

@@ -9,9 +9,9 @@ import pytest
 from limitlab import sampling, sets
 from limitlab.analyzers import cardinality, density_at, measure
 from limitlab.decompose import decompose, verify_decomposition
-from limitlab.dsl import parse_set, set_to_text
+from limitlab.dsl import parse_fn, parse_set, set_to_text
 from limitlab.errors import UnsupportedIntersection
-from limitlab.functions import effective_regions
+from limitlab.functions import effective_regions, fn_evaluator
 from limitlab.limits import LimitType, check, classify
 from limitlab.oracle import SampleConfig, mc_measure
 from limitlab.sampling import sample_points
@@ -410,6 +410,8 @@ def test_refused_tree_builds_each_atom_tester_once(monkeypatch):
 
     for cls in (EmptySet, Interval, FinitePoints, RationalsIn, CantorAffine, Sequence, IntervalFamily):
         monkeypatch.setattr(cls, "tester", counted(cls.tester))
+    # a tree cached by an earlier test would be tested without a build
+    sets.membership.cache_clear()
     rng = random.Random(23)
     refused = []
     for _ in range(400):
@@ -476,6 +478,8 @@ def test_tail_head_testers_are_built_once(monkeypatch):
         return body(piece)
 
     monkeypatch.setattr(sets, "piece_tester", counted)
+    # a cached tree would hold tail testers built before the count
+    sets.membership.cache_clear()
     for text in ("seq(1/n - 3/n^2)", "family(1/n - (1/2)^n, 1/n)"):
         tail = parse_set(text)
         head = sets._resolve(tail)[0]
@@ -486,6 +490,63 @@ def test_tail_head_testers_are_built_once(monkeypatch):
         builds.clear()
         assert [member(x) for x in xs] == want, text
         assert any(want) and all(builds[h] == 1 for h in head), (text, builds)
+
+
+def test_equal_trees_share_one_tester():
+    text = "(0, 1] \\ seq(1/2 + 1/n) | family(1/n - (1/2)^n, 1/n) | cantor(2, 1)"
+    first, second = parse_set(text), parse_set(text)
+    assert first is not second and first == second
+    assert membership(first) is membership(second)
+    refused = "cantor(0, 1) \\ Q((0, 1))"
+    assert membership(parse_set(refused)) is membership(parse_set(refused))
+
+
+def test_fn_evaluator_builds_guard_testers_once(monkeypatch):
+    f = parse_fn("piecewise { -1 - x on seq(-1/2 + 2*(1/2)^n, 2); -11/4 on Q((-11/4, 1/4]); else -3/8 + 3/2*x }")
+    xs = [Q(1, 2), Q(5, 4), Q(-1, 2), Q(0), Q(-11, 4), Q(3)]
+    builds = Counter()
+    body = sets.piece_tester
+
+    def counted(piece):
+        builds[piece] += 1
+        return body(piece)
+
+    monkeypatch.setattr(sets, "piece_tester", counted)
+    sets.membership.cache_clear()
+    values = [[evaluate(x) for x in xs] for evaluate in (fn_evaluator(f), fn_evaluator(f))]
+    assert values[0] == values[1]
+    assert builds and all(n == 1 for n in builds.values()), builds
+
+
+def test_membership_cache_churn_keeps_answers_and_refusals():
+    # more trees than membership keeps, queried in turn, so each pass evicts
+    # every tester and builds it again; the last tree refuses at the points
+    # that reach its sequence
+    sets.membership.cache_clear()
+    bound = sets.membership.cache_info().maxsize
+    rng = random.Random(67)
+    trees = list(dict.fromkeys(rand_set_expr(rng, 3) for _ in range(3 * bound)))
+    trees.append(parse_set("[0, 1] | seq(1/n - 30000/n^2)"))
+    refused = []
+    for e in trees:
+        try:
+            sets._normal(e)
+        except UnsupportedIntersection:
+            refused.append(e)
+    assert len(trees) > 2 * bound and len(refused) >= 5
+    probes = [list(dict.fromkeys(x for atom in _atoms(e) for x in _atom_probes(atom))) for e in trees]
+    probes[-1].append(Q(2))
+    passes = [[[_outcome(partial(contains, e), x) for x in xs] for e, xs in zip(trees, probes)] for _ in range(2)]
+    assert sets.membership.cache_info().currsize == bound
+    assert passes[1] == passes[0]
+    for e, xs, got in zip(trees, probes, passes[1]):
+        for x, outcome in zip(xs, got):
+            want = _outcome(partial(_tree_contains, e), x)
+            if outcome != want:
+                # the known defect of test_removed_cantor_point_is_not_contained
+                holders = [p.core for p in sets._normal(e).pieces if piece_tester(p)(x)]
+                assert (outcome, want) == (True, False) and all(isinstance(c, CantorAffine) for c in holders), (e, x)
+    assert passes[1][-1][-1] == "sequence head too large to materialize"
 
 
 

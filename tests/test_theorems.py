@@ -20,7 +20,7 @@ from limitlab.limits import LimitType, check, classify, uniqueness_precondition
 from limitlab.poly import Poly
 from limitlab.sets import FULL_LINE, cantor_affine, open_interval, rationals_in
 
-from conftest import CORPUS_POINTS, certified_fn, corpus, rand_nonzero_rat
+from conftest import CORPUS_POINTS, certified_fn, certified_pairs, corpus, rand_nonzero_rat
 
 T1, T2, T3, T4, T5, T6 = (
     LimitType.T1,
@@ -116,23 +116,12 @@ def test_uniqueness_over_full_domain(corpus_reports):
 # --- arithmetic of certified limits ------------------------------------------------
 
 
-def _certified_pairs(t6: bool, count: int):
-    rng = random.Random(4242 if t6 else 2323)
-    pairs = []
-    while len(pairs) < count:
-        a = rng.choice(CORPUS_POINTS)
-        f1, L1 = certified_fn(rng, a, t6)
-        f2, L2 = certified_fn(rng, a, t6)
-        pairs.append((a, f1, L1, f2, L2))
-    return pairs
-
-
 @pytest.mark.parametrize("t6", [False, True], ids=["countable", "null"])
 def test_limit_arithmetic(t6):
     t = T6 if t6 else T5
     violations = 0
     tested = 0
-    for a, f1, L1, f2, L2 in _certified_pairs(t6, 30):
+    for a, f1, L1, f2, L2 in certified_pairs(t6, 30):
         assert check(f1, a, L1, t).passed()
         assert check(f2, a, L2, t).passed()
         try:
