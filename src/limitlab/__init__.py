@@ -68,7 +68,6 @@ from .functions import (
     fn_eval,
     fn_mul,
     fn_scale,
-    fn_sub,
     indicator_fn,
     isolate_superlevel,
     nonzero_set,

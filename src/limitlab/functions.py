@@ -249,10 +249,6 @@ def fn_add(f1: PiecewiseFn, f2: PiecewiseFn) -> PiecewiseFn:
     return _combine(f1, f2, lambda p, q: p + q)
 
 
-def fn_sub(f1: PiecewiseFn, f2: PiecewiseFn) -> PiecewiseFn:
-    return _combine(f1, f2, lambda p, q: p - q)
-
-
 def fn_mul(f1: PiecewiseFn, f2: PiecewiseFn) -> PiecewiseFn:
     return _combine(f1, f2, lambda p, q: p * q)
 

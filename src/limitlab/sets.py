@@ -7,25 +7,26 @@ closed under finite union, intersection and difference *up to* an explicit
 rule table; combinations outside the table raise UnsupportedIntersection
 rather than approximating.
 
-Normalization produces a canonical disjoint "piece" list.  A piece is an
-atom, optionally minus a list of measure-zero removal atoms; co-countable
-sets such as the irrationals in a window are therefore representable, which
-the limit engine needs to certify failure verdicts.  The list is held by a
-Normal, which is a set expression node itself: _normal(n) is n, returned
-unhashed, so the other modules take and return normal forms, and build
-larger trees on them, without printing them into trees to be normalized
-again.  Only the public normalize() and the text of a set print a Normal
-into a tree of atoms (Normal.to_expr); normalizing that tree gives the
-same Normal back.  One memo (_normal_or_refusal), keyed by expression, holds
-each tree's normal form or the message of its refusal.
+Normalization produces a canonical "piece" list (Normal says which pieces
+may overlap).  A piece is an atom, optionally minus thin removal atoms, so
+co-countable sets such as the irrationals in a window are representable,
+which the limit engine needs to certify failure verdicts.  The list is held
+by a Normal, which is a set expression node itself: _normal(n) is n,
+returned unhashed, so the other modules take and return normal forms, and
+build larger trees on them, without printing them into trees to be
+normalized again.  Only the public normalize() and the text of a set print a
+Normal into a tree of atoms (Normal.to_expr); normalizing that tree gives
+the same Normal back.  One memo (_normal_or_refusal), keyed by expression,
+holds each tree's normal form or the message of its refusal.
 
 Every normal form comes out of one union (_canonical_union) in three steps.
 Flatten: tails are resolved into heads and canonical tails, the removals of
-intervals and rationals are reduced, and each piece is filed as a plain
-interval (a solid), as points, or in the rest.  Cover: the merged solids are
-taken out of every piece of the rest by one helper (_minus_cover) and the
-parts are filed again; a plain interval split off a piece joins the cover,
-so this repeats until no solid is added.  Plain rationals also cover
+intervals and rationals are reduced (only here, in _reduce_removal_piece;
+_core_subtract keeps a thin atom as a removal), and each piece is filed as a
+plain interval (a solid), as points, or in the rest.  Cover: the merged
+solids are taken out of every piece of the rest by one helper (_minus_cover)
+and the parts are filed again; a plain interval split off a piece joins the
+cover, so this repeats until no solid is added.  Plain rationals also cover
 sequences, and a Cantor piece goes only when a single solid covers its box.
 Finish: the refusal checks, co-thin pieces (intervals that carry removals)
 with equal removals merged, and the points left closing the open ends of
@@ -1011,8 +1012,8 @@ class Piece:
     """core minus the union of the removal atoms.
 
     Cores: Interval, FinitePoints, RationalsIn, CantorAffine, Sequence
-    (canonical tail), IntervalFamily (canonical tail).  Removals: RationalsIn,
-    Sequence, CantorAffine (all measure zero), plus canonical family tails
+    (canonical tail), IntervalFamily (canonical tail).  Removals, once filed:
+    RationalsIn, Sequence, CantorAffine (all measure zero), plus family tails
     clipped inside the core (positive measure, accounted for explicitly by
     the analyzers).  Every core and removal atom but FinitePoints has a
     box(): the closed interval it lies in, which the pairwise rules clip
@@ -1040,9 +1041,13 @@ def piece_tester(piece: Piece) -> Callable[[Q], bool]:
 
 @record
 class Normal(SetExpr):
-    """A normal form: the union of its disjoint pieces, sorted by
-    _piece_rank.  A set expression node that _normal returns unchanged;
-    to_expr() prints it as a tree of atoms, for normalize() and text only."""
+    """A normal form: the union of its pieces, sorted by _piece_rank.  Solids
+    (plain intervals) are merged and meet no piece but a Cantor piece, which
+    goes only under a single solid; points meet no other piece; co-thin
+    intervals meet no other co-thin interval.  Other pieces may overlap: a
+    Cantor piece, a sequence, rationals, a co-thin interval.  A set expression
+    node that _normal returns unchanged; to_expr() prints it as a tree of
+    atoms, for normalize() and text only."""
 
     pieces: tuple[Piece, ...]
 
@@ -1181,7 +1186,9 @@ def _merge_removals(a: tuple, b: tuple) -> tuple:
 
 
 def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
-    """Pieces of a \\ b for core atoms."""
+    """Pieces of a \\ b for core atoms.  On an interval or rationals core, b
+    stays a removal that filing reduces (_reduce_removal_piece), except the
+    solids filing subtracts through here: intervals, rationals from rationals."""
     if isinstance(a, EmptySet):
         return []
     if isinstance(b, EmptySet):
@@ -1199,21 +1206,23 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
         for comp in iv_complement(b):
             out.extend(_core_intersect(a, comp))
         return out
+    if ta is Interval or ta is RationalsIn:
+        if ta is RationalsIn and tb is RationalsIn:
+            return _core_subtract(a, b.iv)
+        return [Piece(a, (b,))]
     if tb is FinitePoints:
         return _subtract_points(a, b.points)
+    if ta is IntervalFamily and (tb is RationalsIn or tb is CantorAffine):
+        return _cut_thin(a, b)
     if tb is RationalsIn:
         if ta is CantorAffine:
             if _iv_disjoint(a.box(), b.box()):
                 return [Piece(a, ())]
             raise UnsupportedIntersection("Cantor image minus rationals is outside the algebra")
-        if ta is Interval or ta is IntervalFamily:
-            return _cut_thin(a, b)
         return _core_subtract(a, b.iv)  # every member of a is rational
     if tb is CantorAffine:
         if ta is CantorAffine and (a.offset, a.scale) == (b.offset, b.scale):
             return _core_subtract(a, b.box())
-        if ta in (Interval, RationalsIn, IntervalFamily):
-            return _cut_thin(a, b)
         raise UnsupportedIntersection("difference with a Cantor image is outside the algebra")
     if tb is Sequence:
         if ta is Sequence:
@@ -1221,19 +1230,25 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
                 return [Piece(m, ()) for m in _members(a, b.start)]
             shared = _seq_shared_values(a, b)
             return _subtract_points(a, shared) if shared else [Piece(a, ())]
-        if ta in (Interval, RationalsIn, IntervalFamily):
+        if ta is IntervalFamily:
             return [Piece(a, (b,))]
         if _iv_disjoint(a.box(), b.box()):
             return [Piece(a, ())]
         raise UnsupportedIntersection("difference with a sequence is outside the algebra")
-    if tb is IntervalFamily:
-        return _piece_subtract_family_tail(Piece(a, ()), b)  # b is a canonical tail
+    if tb is IntervalFamily:  # b is a canonical tail
+        if ta is IntervalFamily and a._replace(start=b.start) == b:
+            return [Piece(m, ()) for m in _members(a, b.start)]
+        if _iv_disjoint(a.box(), b.box()):
+            return [Piece(a, ())]
+        if ta is Sequence:
+            raise UnsupportedIntersection("sequence minus an overlapping family tail")
+        raise UnsupportedIntersection("thin atom minus family tail is outside the algebra")
     raise AssertionError(f"unhandled difference {ta} \\ {tb}")
 
 
-def _cut_thin(a: SetExpr, b: SetExpr) -> list[Piece]:
-    """a minus a thin atom b (rationals or a Cantor image): b clipped to a's
-    box splits a when only points of it are left, and is a removal otherwise."""
+def _cut_thin(a: IntervalFamily, b: SetExpr) -> list[Piece]:
+    """A family tail a minus a thin atom b (rationals or a Cantor image): b
+    clipped to a's box splits a when only points are left, else is a removal."""
     parts = _core_intersect(b, a.box())  # at most one piece
     if not parts:
         return [Piece(a, ())]
@@ -1271,36 +1286,6 @@ def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
     return [Piece(c, ()) for c in pieces]
 
 
-def _piece_subtract_family_tail(p: Piece, tail: IntervalFamily) -> list[Piece]:
-    core = p.core
-    hull = tail.box()
-    if isinstance(core, (Interval, RationalsIn)):
-        if _iv_disjoint(core.box(), hull):
-            return [p]
-        # clip the tail into the region: explicit members subtract exactly,
-        # a surviving symbolic tail becomes a removal attached to the core
-        pieces = [p]
-        for part in _tail_clip(tail, core.box()):
-            if isinstance(part.core, IntervalFamily):
-                pieces = [
-                    Piece(q.core, _merge_removals(q.removals, (part.core,))) for q in pieces
-                ]
-            else:
-                pieces = [w for q in pieces for w in _piece_subtract_atom(q, part.core)]
-        return pieces
-    if isinstance(core, Sequence):
-        if _iv_disjoint(core.box(), hull):
-            return [p]
-        raise UnsupportedIntersection("sequence minus an overlapping family tail")
-    if isinstance(core, (CantorAffine, IntervalFamily)):
-        if isinstance(core, IntervalFamily) and core._replace(start=tail.start) == tail:
-            return [Piece(m, p.removals) for m in _members(core, tail.start)]
-        if _iv_disjoint(core.box(), hull):
-            return [p]
-        raise UnsupportedIntersection("thin atom minus family tail is outside the algebra")
-    raise AssertionError
-
-
 def _piece_subtract_atom(p: Piece, b: SetExpr) -> list[Piece]:
     return _attach_removals(_core_subtract(p.core, b), p.removals)
 
@@ -1313,10 +1298,10 @@ def _piece_intersect(p1: Piece, p2: Piece) -> list[Piece]:
 def _piece_subtract(p1: Piece, p2: Piece) -> list[Piece]:
     # x in result iff x in p1 and (x not in core2 or x in some removal of p2)
     out = _piece_subtract_atom(p1, p2.core)
+    common = _attach_removals(_core_intersect(p1.core, p2.core), p1.removals) if p2.removals else []
     for r in p2.removals:
-        for q in _attach_removals(_core_intersect(p1.core, p2.core), p1.removals):
-            for w in _attach_removals(_core_intersect(q.core, r), q.removals):
-                out.append(w)
+        for q in common:
+            out.extend(_attach_removals(_core_intersect(q.core, r), q.removals))
     return out
 
 
@@ -1458,37 +1443,28 @@ def _absorb_ends(iv: Interval, pts: set) -> Interval:
 
 
 def _reduce_removal_piece(core: SetExpr, removals: tuple) -> list[Piece]:
-    """Clip removals to the core's span; point-like pieces of a removal
-    split the core, interval-like pieces (materialized family members) and
-    rationals removed from rationals subtract exactly."""
-    cleaned = _clean_removals(core.box(), removals)
+    """The one place that reduces the removals of an interval or rationals
+    core.  Each is clipped to the core's box: a sequence that meets it stays
+    whole, and a family tail's members turn solid.  Points split the core,
+    solids (and rationals from rationals) subtract exactly, and the thin
+    rest stays, removed rationals merged so that equal sets compare equal."""
+    box, clipped = core.box(), []
+    for r in removals:
+        if isinstance(r, Sequence):
+            if not _iv_disjoint(r.box(), box):
+                clipped.append(r)
+        else:
+            clipped.extend(part.core for part in _core_intersect(r, box))
+    rats = [RationalsIn(iv) for iv in merge_intervals([r.iv for r in clipped if isinstance(r, RationalsIn)])]
+    cleaned = sorted({r for r in clipped if not isinstance(r, RationalsIn)} | set(rats), key=repr)
     pts = tuple(sorted({p for r in cleaned if isinstance(r, FinitePoints) for p in r.points}))
     exact = (Interval, RationalsIn) if isinstance(core, RationalsIn) else (Interval,)
     solids = [r for r in cleaned if isinstance(r, exact)]
     thin = tuple(r for r in cleaned if not isinstance(r, (FinitePoints, *exact)))
     pieces = _subtract_points(core, pts) if pts else [Piece(core, ())]
     for s in solids:
-        nxt: list[Piece] = []
-        for p in pieces:
-            nxt.extend(_piece_subtract_atom(p, s))
-        pieces = nxt
+        pieces = [w for p in pieces for w in _piece_subtract_atom(p, s)]
     return [Piece(p.core, _merge_removals(p.removals, thin)) for p in pieces]
-
-
-def _clean_removals(box: Interval, removals: tuple) -> tuple:
-    """Clip removal atoms to the box; drop the irrelevant ones.  A family
-    tail's clip keeps the tail thin and turns its members solid."""
-    out = []
-    for r in removals:
-        if isinstance(r, Sequence):
-            if not _iv_disjoint(r.box(), box):
-                out.append(r)
-        else:
-            out.extend(part.core for part in _core_intersect(r, box))
-    # removed rationals are kept as maximal intervals, so equal sets compare equal
-    rats = merge_intervals([r.iv for r in out if isinstance(r, RationalsIn)])
-    out = [r for r in out if not isinstance(r, RationalsIn)] + [RationalsIn(iv) for iv in rats]
-    return tuple(sorted(set(out), key=repr))
 
 
 # --- normalization entry points -----------------------------------------------

@@ -1,8 +1,10 @@
+import json
 import random
 import time
 from collections import Counter
 from fractions import Fraction as Q
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -1170,3 +1172,52 @@ def test_uncovered_against_point_membership():
                 want = tuple(x and not y for x, y in zip(_held([iv]), covered))
                 assert _held(pieces) == want, (iv, solids, segs, ends)
                 assert len(pieces) == _runs(want), (iv, solids, segs, ends)
+
+
+# --- golden normal forms ---------------------------------------------------------
+#
+# `golden/normals.json` freezes the printed normal form, or the refusal, of
+# `rand_set_expr(Random(s), 3)` for s = 0..2999 and of their mirrors, and of an
+# interval core and a rationals core minus each kind of thin atom, then minus
+# [0, 1], which clips the removal again to a smaller core.  Rewrite the file
+# after a deliberate change with `PYTHONPATH=src python tests/test_sets.py`
+# and review the diff.
+
+NORMALS_GOLDEN = Path(__file__).parent / "golden" / "normals.json"
+_CORES = ("[-1, 1]", "Q((-1, 1))")
+_THIN = (
+    "points(-1, 0, 1/2, 2)", "Q([-1/2, 2])", "cantor(0, 1)", "cantor(-1, 2)", "cantor(1, 1)",
+    "seq(1/n)", "seq(1/n - 1/2)", "family(1/n - (1/2)^n, 1/n)",
+)
+
+
+def _normal_text(e) -> str:
+    try:
+        return set_to_text(sets._normal(e))
+    except UnsupportedIntersection as exc:
+        return f"refused: {exc}"
+
+
+def golden_normals() -> dict[str, str]:
+    out = {}
+    for s in range(3000):
+        e = rand_set_expr(random.Random(s), 3)
+        out[f"rand {s}"] = _normal_text(e)
+        out[f"mirror {s}"] = _normal_text(mirror(e))
+    for core in _CORES:
+        for x in _THIN:
+            for text in (f"{core} \\ {x}", f"({core} \\ {x}) \\ [0, 1]"):
+                out[text] = _normal_text(parse_set(text))
+    return out
+
+
+def test_golden_normals():
+    frozen = json.loads(NORMALS_GOLDEN.read_text(encoding="utf-8"))
+    fresh = golden_normals()
+    assert fresh.keys() == frozen.keys()
+    changed = [f"{key}: {frozen[key]!r} -> {fresh[key]!r}" for key in frozen if fresh[key] != frozen[key]]
+    assert not changed, "\n".join(changed)
+
+
+if __name__ == "__main__":
+    NORMALS_GOLDEN.write_text(json.dumps(golden_normals(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
