@@ -21,12 +21,12 @@ holds each tree's normal form or the message of its refusal.
 
 Every normal form comes out of one union (_canonical_union) in three steps.
 Flatten: tails are resolved into heads and canonical tails, the removals of
-intervals and rationals are reduced (only here, in _reduce_removal_piece;
-_core_subtract keeps a thin atom as a removal), and each piece is filed as a
-plain interval (a solid), as points, or in the rest.  Cover: the merged
-solids are taken out of every piece of the rest by one helper (_minus_cover)
-and the parts are filed again; a plain interval split off a piece joins the
-cover, so this repeats until no solid is added.  Plain rationals also cover
+intervals and rationals are reduced (by _reduce_removal_piece, which
+_core_subtract also calls for a thin atom taken from such a core), and each
+piece is filed as a plain interval (a solid), as points, or in the rest.
+Cover: the merged solids are taken out of every piece of the rest by one
+helper (_minus_cover) and the parts are filed again; a plain interval split
+off a piece joins the cover, so this repeats until no solid is added.  Plain rationals also cover
 sequences, and a Cantor piece goes only when a single solid covers its box.
 Finish: the refusal checks, co-thin pieces (intervals that carry removals)
 with equal removals merged, and the points left closing the open ends of
@@ -1186,9 +1186,9 @@ def _merge_removals(a: tuple, b: tuple) -> tuple:
 
 
 def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
-    """Pieces of a \\ b for core atoms.  On an interval or rationals core, b
-    stays a removal that filing reduces (_reduce_removal_piece), except the
-    solids filing subtracts through here: intervals, rationals from rationals."""
+    """Pieces of a \\ b for core atoms.  On an interval or rationals core, a
+    thin b is reduced as a removal (_reduce_removal_piece), which subtracts
+    its solids through here: intervals, and rationals from rationals."""
     if isinstance(a, EmptySet):
         return []
     if isinstance(b, EmptySet):
@@ -1209,7 +1209,7 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
     if ta is Interval or ta is RationalsIn:
         if ta is RationalsIn and tb is RationalsIn:
             return _core_subtract(a, b.iv)
-        return [Piece(a, (b,))]
+        return _reduce_removal_piece(a, (b,))
     if tb is FinitePoints:
         return _subtract_points(a, b.points)
     if ta is IntervalFamily and (tb is RationalsIn or tb is CantorAffine):
@@ -1456,15 +1456,15 @@ def _reduce_removal_piece(core: SetExpr, removals: tuple) -> list[Piece]:
         else:
             clipped.extend(part.core for part in _core_intersect(r, box))
     rats = [RationalsIn(iv) for iv in merge_intervals([r.iv for r in clipped if isinstance(r, RationalsIn)])]
-    cleaned = sorted({r for r in clipped if not isinstance(r, RationalsIn)} | set(rats), key=repr)
+    cleaned = {r for r in clipped if not isinstance(r, RationalsIn)}.union(rats)
     pts = tuple(sorted({p for r in cleaned if isinstance(r, FinitePoints) for p in r.points}))
     exact = (Interval, RationalsIn) if isinstance(core, RationalsIn) else (Interval,)
-    solids = [r for r in cleaned if isinstance(r, exact)]
+    solids = [r for r in cleaned if isinstance(r, exact)]  # any order gives the same parts
     thin = tuple(r for r in cleaned if not isinstance(r, (FinitePoints, *exact)))
     pieces = _subtract_points(core, pts) if pts else [Piece(core, ())]
     for s in solids:
         pieces = [w for p in pieces for w in _piece_subtract_atom(p, s)]
-    return [Piece(p.core, _merge_removals(p.removals, thin)) for p in pieces]
+    return _attach_removals(pieces, thin)
 
 
 # --- normalization entry points -----------------------------------------------

@@ -1179,7 +1179,9 @@ def test_uncovered_against_point_membership():
 # `golden/normals.json` freezes the printed normal form, or the refusal, of
 # `rand_set_expr(Random(s), 3)` for s = 0..2999 and of their mirrors, and of an
 # interval core and a rationals core minus each kind of thin atom, then minus
-# [0, 1], which clips the removal again to a smaller core.  Rewrite the file
+# [0, 1], which clips the removal again to a smaller core, and minus the thin
+# atom together with rationals less a sequence, which the core meets in a
+# sequence core that keeps no removals.  Rewrite the file
 # after a deliberate change with `PYTHONPATH=src python tests/test_sets.py`
 # and review the diff.
 
@@ -1206,9 +1208,27 @@ def golden_normals() -> dict[str, str]:
         out[f"mirror {s}"] = _normal_text(mirror(e))
     for core in _CORES:
         for x in _THIN:
-            for text in (f"{core} \\ {x}", f"({core} \\ {x}) \\ [0, 1]"):
+            for text in (
+                f"{core} \\ {x}",
+                f"({core} \\ {x}) \\ [0, 1]",
+                f"{core} \\ ({x} | (Q([-1/2, 2]) \\ seq(1/n)))",
+                f"{core} \\ ({x} | (Q([-1/2, 2]) \\ seq(1/n - 1/2)))",
+            ):
                 out[text] = _normal_text(parse_set(text))
     return out
+
+
+@pytest.mark.parametrize("text", [
+    r"[-1, 1] \ (points(0) | (Q([-1/2, 1/2]) \ seq(1/n - 1/2)))",
+    r"Q((-1, 1)) \ (points(-1, 0, 1/2, 2) | (Q([-1/2, 2]) \ seq(1/n)))",
+    r"(0, 1] \ (points(1/2) | (Q([0, 1]) \ seq(1/n)))",
+])
+def test_thin_removal_is_not_carried_onto_a_sequence_core(text):
+    # the core less a point meets Q \ seq in a sequence core; the point must
+    # be gone from it already, since a sequence core keeps no removals
+    e = parse_set(text)
+    xs = [Q(0), Q(1, 2), Q(-1), Q(1)] + [Q(1, n) + d for n in range(1, 13) for d in (0, Q(-1, 2))]
+    assert [contains(e, x) for x in xs] == [_tree_contains(e, x) for x in xs]
 
 
 def test_golden_normals():
