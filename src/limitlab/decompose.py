@@ -27,8 +27,8 @@ from fractions import Fraction
 from ._record import record
 from .analyzers import cardinality, measure
 from .errors import PrerequisiteNotMet, UnsupportedIntersection
-from .functions import PiecewiseFn, effective_regions, fn_evaluator, nonzero_set, punctured_window
-from .limits import LimitType, _bands, _region_germs, _status, check
+from .functions import PiecewiseFn, fn_evaluator, nonzero_set, punctured_window
+from .limits import LimitType, _region_germs, _status, _verdict
 from .poly import Poly
 from .sets import Intersection, Normal, Union, _normal, window_trace
 from .sampling import sample_points
@@ -54,19 +54,17 @@ def decompose(f: PiecewiseFn, a, L, t: LimitType) -> Decomposition:
     a, L = Q(a), Q(L)
     if t not in (LimitType.T5, LimitType.T6):
         raise ValueError("decomposition applies to T5 and T6")
-    try:
-        bands = list(_bands(f, a, L, t)) if _status(_region_germs(f, a, t), L) == "pass" else []
-    except UnsupportedIntersection:
-        bands = []
-    if not bands or any(delta is None for _, delta, _ in bands):
-        raise PrerequisiteNotMet(f"no type-{t.value} limit {L} at {a}: {check(f, a, L, t).evidence}")
+    regions, (germs,) = _region_germs(f, a, (t,))
+    verdict, bands = _verdict(regions, germs, a, L, t)
+    if not verdict.passed():
+        raise PrerequisiteNotMet(f"no type-{t.value} limit {L} at {a}: {verdict.evidence}")
 
     # walk the bands in decreasing eps with window radii forced nonincreasing,
     # so the first (largest) radius bounds every later one; each region's
     # part is clipped on its own, and a band yields its parts in the order
     # of the effective regions
     delta0 = running = bands[-1][1]
-    offsets = [p - Poly.const(L) for _, p in effective_regions(f)]
+    offsets = [p - Poly.const(L) for _, p in regions]
     parts = []
     for _, delta, band in reversed(bands):
         running = min(running, delta)
@@ -100,7 +98,7 @@ def verify_decomposition(d: Decomposition, f: PiecewiseFn, a, L, t: LimitType, p
     for x in sample_points(f.domain, count=probes, seed=seed, center=a, spread=max(d.delta0, 1)):
         if eval_g(x) + eval_h(x) != eval_f(x):
             return False
-    germs = _region_germs(d.g, a, LimitType.T1)
+    _, (germs,) = _region_germs(d.g, a, (LimitType.T1,))
     status = _status(germs, L)
     if status == "undecidable":
         reason = next(small for value, small in germs if value != L and small is not True)

@@ -131,8 +131,8 @@ def _witness_delta(normal: Normal, a: Q, t: LimitType) -> Q | None:
     return vanish_radius(blockers, a)
 
 
-def _test_epsilons(f: PiecewiseFn, a: Q, L: Q) -> list[Q]:
-    gaps = sorted({abs(p(a) - L) for _, p in effective_regions(f)} - {Q(0)})
+def _test_epsilons(regions, a: Q, L: Q) -> list[Q]:
+    gaps = sorted({abs(p(a) - L) for _, p in regions} - {Q(0)})
     if not gaps:
         return [Q(1)]
     tests = [gaps[0] / 2]
@@ -143,21 +143,33 @@ def _test_epsilons(f: PiecewiseFn, a: Q, L: Q) -> list[Q]:
     return tests
 
 
-def _region_germs(f: PiecewiseFn, a: Q, t: LimitType) -> tuple[tuple[Q | None, bool | str], ...]:
-    """One (p(a), small) entry per effective region: small is whether the
-    region's germ at a is t-small, or the reason that is unknown."""
+def _germ_fact(read, *args):
+    """read(*args), or the reason the set algebra or the density rules cannot give it."""
+    try:
+        fact = read(*args)
+    except UnsupportedIntersection as exc:
+        return f"set algebra: {exc}"
+    return "density asymptotics outside the rule table" if fact is None else fact
+
+
+def _region_germs(f: PiecewiseFn, a: Q, types) -> tuple[tuple, tuple]:
+    """The effective regions of f, and for each type in types one (p(a), small)
+    row per region: small is whether the region's germ at a is t-small, or the
+    reason that is unknown.  A region's reaching kinds are read once if a type
+    other than T2 is asked, and its density once if T2 is."""
     try:
         regions = effective_regions(f)
     except UnsupportedIntersection as exc:
-        return ((None, f"set algebra: {exc}"),)  # one region of unknown value
-    germs = []
+        return (), tuple(((None, f"set algebra: {exc}"),) for _ in types)  # one region of unknown value
+    rows = tuple([] for _ in types)
     for region, p in regions:
-        try:
-            small = _germ_small(region, a, t)
-        except UnsupportedIntersection as exc:
-            small = f"set algebra: {exc}"
-        germs.append((p(a), "density asymptotics outside the rule table" if small is None else small))
-    return tuple(germs)
+        value = p(a)
+        kinds = _germ_fact(_reaching_kinds, region, a) if set(types) - {LimitType.T2} else None
+        zero = _germ_fact(_germ_small, region, a, LimitType.T2) if LimitType.T2 in types else None
+        for t, row in zip(types, rows):
+            fact = zero if t is LimitType.T2 else kinds
+            row.append((value, fact <= _SMALL_KINDS.get(t, frozenset()) if isinstance(fact, set) else fact))
+    return regions, tuple(map(tuple, rows))
 
 
 def _status(germs, L: Q) -> str:
@@ -171,7 +183,7 @@ def _status(germs, L: Q) -> str:
     return "pass"
 
 
-def _bands(f: PiecewiseFn, a: Q, L: Q, t: LimitType):
+def _bands(regions, a: Q, L: Q, t: LimitType):
     """Yield (eps, delta, parts) for each test eps, in increasing eps.
 
     parts holds region ∩ outer, the outer sandwich side of the region's
@@ -179,8 +191,7 @@ def _bands(f: PiecewiseFn, a: Q, L: Q, t: LimitType):
     of their union, or, when the union cannot be normalized, the smallest
     radius serving every part; None when a part reaches a.
     """
-    regions = effective_regions(f)
-    for eps in _test_epsilons(f, a, L):
+    for eps in _test_epsilons(regions, a, L):
         parts = tuple(Intersection((region, isolate_superlevel(p, L, eps).outer)) for region, p in regions)
         try:
             delta = _witness_delta(_normal(Union(parts)), a, t)
@@ -193,27 +204,29 @@ def _bands(f: PiecewiseFn, a: Q, L: Q, t: LimitType):
 def check(f: PiecewiseFn, a, L, t: LimitType) -> Verdict:
     """Decide whether L is a limit of type t for f at a."""
     a, L = Q(a), Q(L)
-    germs = _region_germs(f, a, t)
+    regions, (germs,) = _region_germs(f, a, (t,))
+    return _verdict(regions, germs, a, L, t)[0]
+
+
+def _verdict(regions, germs, a: Q, L: Q, t: LimitType):
+    """check's verdict from the regions and their type-t rows, with the bands of a pass."""
     status = _status(germs, L)
     if status == "undecidable":
         reason = next(small for value, small in germs if value != L and small is not True)
-        return Verdict("undecidable", evidence=reason)
+        return Verdict("undecidable", evidence=reason), []
     if status == "fail":
-        return Verdict(
-            "fail",
-            evidence=f"eps={_test_epsilons(f, a, L)[0]}: the exceptional set stays non-{_small_name(t)} "
-            "in every window",
-        )
-    witness = []
+        evidence = f"the exceptional set stays non-{_small_name(t)} in every window"
+        return Verdict("fail", evidence=f"eps={_test_epsilons(regions, a, L)[0]}: {evidence}"), []
+    bands = []
     try:
-        for eps, delta, _ in _bands(f, a, L, t):
+        for eps, delta, parts in _bands(regions, a, L, t):
             if delta is None:
                 # the germ is small, but a root enclosure of the sandwich reaches a
-                return Verdict("undecidable", evidence=f"eps={eps}: sandwich sides disagree at the point")
-            witness.append((eps, delta))
+                return Verdict("undecidable", evidence=f"eps={eps}: sandwich sides disagree at the point"), []
+            bands.append((eps, delta, parts))
     except UnsupportedIntersection as exc:
-        return Verdict("undecidable", evidence=f"set algebra: {exc}")
-    return Verdict("pass", witness=tuple(witness))
+        return Verdict("undecidable", evidence=f"set algebra: {exc}"), []
+    return Verdict("pass", witness=tuple((eps, delta) for eps, delta, _ in bands)), bands
 
 
 def _small_name(t: LimitType) -> str:
@@ -228,7 +241,7 @@ def _small_name(t: LimitType) -> str:
 
 
 def classify(f: PiecewiseFn, a) -> LimitReport:
-    """Read every type over every candidate value from the region table.
+    """Read every type over every candidate value from one region table.
 
     The types of one CHAIN group are equivalent, so each group is decided
     once and its result stands for all of its types.  When nothing passes,
@@ -236,15 +249,14 @@ def classify(f: PiecewiseFn, a) -> LimitReport:
     """
     a = Q(a)
     cands = candidates(f, a)
-    statuses = {}
+    _, tables = _region_germs(f, a, tuple(group[0] for group in CHAIN))
+    statuses = {}  # per type, one status per candidate
     outcomes = {}
-    for group in CHAIN:
-        germs = _region_germs(f, a, group[0])
-        status = {L: _status(germs, L) for L in cands}
-        passing = [L for L in cands if status[L] == "pass"]
-        if passing:
-            outcome = TypeOutcome("yes", passing[0])
-        elif "undecidable" in status.values():
+    for group, germs in zip(CHAIN, tables):
+        status = [_status(germs, L) for L in cands]
+        if "pass" in status:
+            outcome = TypeOutcome("yes", cands[status.index("pass")])
+        elif "undecidable" in status:
             outcome = TypeOutcome("undecidable", None)
         else:
             persistent = {value for value, small in germs if small is False}
@@ -252,19 +264,17 @@ def classify(f: PiecewiseFn, a) -> LimitReport:
         for member in group:
             statuses[member] = status
             outcomes[member] = outcome
-    matrix = {(t, L): statuses[t][L] for t in LimitType for L in cands}
+    matrix = {(t, L): s for t in LimitType for L, s in zip(cands, statuses[t])}
     outcomes = {t: outcomes[t] for t in LimitType}
-    chain_ok = _chain_consistent(matrix, cands)
-    return LimitReport(a, outcomes, chain_ok, cands, matrix)
+    return LimitReport(a, outcomes, _chain_consistent([statuses[group[0]] for group in CHAIN]), cands, matrix)
 
 
-def _chain_consistent(matrix, cands) -> bool:
-    """Passing a stronger group must propagate to every weaker group."""
-    for L in cands:
-        for i, stronger in enumerate(CHAIN):
-            for weaker in CHAIN[i + 1 :]:
-                if matrix[(stronger[0], L)] == "pass" and matrix[(weaker[0], L)] == "fail":
-                    return False
+def _chain_consistent(statuses) -> bool:
+    """Passing a stronger group must propagate to every weaker group, candidate by candidate."""
+    for i, stronger in enumerate(statuses):
+        for weaker in statuses[i + 1 :]:
+            if any(s == "pass" and w == "fail" for s, w in zip(stronger, weaker)):
+                return False
     return True
 
 

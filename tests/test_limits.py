@@ -1,12 +1,16 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
+from limitlab import limits
 from limitlab.analyzers import cardinality, has_no_accumulation_point, measure
-from limitlab.errors import UnsupportedIntersection
-from limitlab.functions import PiecewiseFn, exceptional_set, indicator_fn, superlevel_sandwich
+from limitlab.decompose import decompose, verify_decomposition
+from limitlab.errors import PrerequisiteNotMet, UnsupportedIntersection
+from limitlab.functions import PiecewiseFn, effective_regions, exceptional_set, indicator_fn, superlevel_sandwich
 from limitlab.limits import (
     LimitType,
+    _chain_consistent,
     _germ_small,
     _region_germs,
     _status,
@@ -148,7 +152,7 @@ def _eps_band_reference(f, a, L, t):
     carrier's inner sandwich side certifies a fail and its outer side a pass."""
     witness = []
     try:
-        for eps in _test_epsilons(f, a, L):
+        for eps in _test_epsilons(effective_regions(f), a, L):
             carrier = superlevel_sandwich(f, L, eps)
             if _germ_small(carrier.inner, a, t) is False:
                 return "fail", ()
@@ -185,8 +189,8 @@ def test_region_table_agrees_with_the_eps_band_reference(dirichlet, cantor_indic
     newly_decided = 0
     for f, a in _differential_cases(dirichlet, cantor_indicator, omega_indicator):
         rep = classify(f, a)
-        for t in LimitType:
-            germs = _region_germs(f, a, t)
+        _, tables = _region_germs(f, a, tuple(LimitType))
+        for t, germs in zip(LimitType, tables):
             for L in rep.candidates:
                 verdict = check(f, a, L, t)
                 assert rep.matrix[(t, L)] == verdict.status == _status(germs, L)
@@ -199,3 +203,63 @@ def test_region_table_agrees_with_the_eps_band_reference(dirichlet, cantor_indic
                     for eps, delta in verdict.witness:
                         assert _window_small(f, a, L, eps, delta, t), (a, L, t, eps, delta)
     assert newly_decided > 0
+
+
+# --- one germ table per request ---------------------------------------------------
+
+
+def test_chain_check_compares_groups_at_the_same_candidate():
+    # one status list per CHAIN group (T1/T3/T4, T5, T6, T2), aligned with the candidates
+    rest, mid = ["pass", "pass"], ["undecidable", "undecidable"]
+    assert not _chain_consistent([["pass", "fail"], ["fail", "fail"], rest, rest])
+    assert _chain_consistent([["fail", "fail"], ["pass", "fail"], rest, rest])
+    assert not _chain_consistent([["fail", "pass"], mid, mid, ["undecidable", "fail"]])
+    assert _chain_consistent([["undecidable", "fail"], mid, mid, ["fail", "pass"]])
+    # a stronger pass and a weaker fail at different candidates break nothing
+    assert _chain_consistent([["pass", "fail"], ["pass", "undecidable"], ["pass", "fail"], ["pass", "fail"]])
+
+
+def test_one_germ_table_per_request(monkeypatch):
+    counts = Counter()
+
+    def counted(name):
+        read = getattr(limits, name)
+
+        def counting(*args):
+            counts[name] += 1
+            return read(*args)
+
+        return counting
+
+    for name in ("effective_regions", "_reaching_kinds", "density_at"):
+        monkeypatch.setattr(limits, name, counted(name))
+    decomposed = 0
+    for f, a in corpus(11, 60):
+        try:
+            regions = len(effective_regions(f))
+        except UnsupportedIntersection:
+            regions = 0
+        counts.clear()
+        rep = classify(f, a)
+        assert counts["effective_regions"] == 1
+        assert counts["_reaching_kinds"] <= regions and counts["density_at"] <= regions
+        for L in rep.candidates:
+            for t in (T1, T5, T6):
+                counts.clear()
+                check(f, a, L, t)
+                assert counts["effective_regions"] == 1 and counts["density_at"] == 0
+            counts.clear()
+            try:
+                d = decompose(f, a, L, T5)
+            except PrerequisiteNotMet:
+                assert counts["effective_regions"] == 1
+                continue
+            assert counts["effective_regions"] == 1
+            decomposed += 1
+            counts.clear()
+            try:
+                verify_decomposition(d, f, a, L, T5, probes=10)
+            except UnsupportedIntersection:
+                pass
+            assert counts["effective_regions"] == 1 and counts["density_at"] == 0
+    assert decomposed > 0
