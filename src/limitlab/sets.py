@@ -21,9 +21,10 @@ holds each tree's normal form or the message of its refusal.
 
 Every normal form comes out of one union (_canonical_union) in three steps.
 Flatten: tails are resolved into heads and canonical tails, the removals of
-intervals and rationals are reduced (by _reduce_removal_piece, which
-_core_subtract also calls for a thin atom taken from such a core), and each
-piece is filed as a plain interval (a solid), as points, or in the rest.
+intervals, rationals and family tails are clipped to the core's box and
+reduced (by _reduce_removal_piece, which _core_subtract also calls for an
+atom taken from such a core), and each piece is filed as a plain interval (a
+solid), as points, or in the rest.
 Cover: the merged solids are taken out of every piece of the rest by one
 helper (_minus_cover) and the parts are filed again; a plain interval split
 off a piece joins the cover, so this repeats until no solid is added.  Plain rationals also cover
@@ -873,11 +874,11 @@ def _family_collapse(fam: IntervalFamily, n_hint: int, side: int):
     near, far = (lo, hi) if side > 0 else (hi, lo)
     s_dlo, n_dlo = (lo - lo.shifted()).eventual_sign()
     s_dhi, n_dhi = (hi - hi.shifted()).eventual_sign()
-    ov = (far - near.shifted()).scale(side)  # member n reaches member n+1 when >= 0
+    ov = (far - near.shifted()).scale(side)  # > 0: member n reaches past member n+1's near edge
     s_ov, n_ov = ov.eventual_sign()
     n_star = max(fam.start, n_hint, n_dlo, n_dhi, n_ov)
-    if s_ov < 0:
-        raise AssertionError("collapse requested for eventually disjoint family")
+    if s_ov <= 0:
+        raise AssertionError("collapse requested for members that do not chain toward the limit")
 
     # lower bound of the chained union
     if s_dlo == 0:  # lo constant
@@ -897,12 +898,9 @@ def _family_collapse(fam: IntervalFamily, n_hint: int, side: int):
     head = []
     collapsed = interval(b_lo, b_hi, b_lo_incl, b_hi_incl)
     holes = None
-    if not fam.lo_incl and not fam.hi_incl:
-        # members that touch exactly leave single-point holes at junctions
-        if s_ov == 0:
-            holes = sequence(far, n_star)  # far(n) == near(n+1) at every index
-        elif (near - far.shifted()).eventual_sign()[0] == 0:
-            holes = sequence(near, n_star)  # near(n) == far(n+1) at every index
+    # members that touch exactly leave single-point holes at junctions
+    if not fam.lo_incl and not fam.hi_incl and (near - far.shifted()).eventual_sign()[0] == 0:
+        holes = sequence(near, n_star)  # near(n) == far(n+1) at every index
     if isinstance(collapsed, (Interval, FinitePoints)):
         removals = (holes,) if isinstance(holes, Sequence) else ()
         head.append(Piece(collapsed, removals))
@@ -1014,10 +1012,10 @@ class Piece:
     Cores: Interval, FinitePoints, RationalsIn, CantorAffine, Sequence
     (canonical tail), IntervalFamily (canonical tail).  Removals, once filed:
     RationalsIn, Sequence, CantorAffine (all measure zero), plus family tails
-    clipped inside the core (positive measure, accounted for explicitly by
-    the analyzers).  Every core and removal atom but FinitePoints has a
-    box(): the closed interval it lies in, which the pairwise rules clip
-    other atoms to.
+    (positive measure, accounted for explicitly by the analyzers), each
+    clipped to the closed box of its core.  Every core and removal atom but
+    FinitePoints has a box(): the closed interval it lies in, which the
+    pairwise rules clip other atoms to.
     """
 
     core: SetExpr
@@ -1186,9 +1184,10 @@ def _merge_removals(a: tuple, b: tuple) -> tuple:
 
 
 def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
-    """Pieces of a \\ b for core atoms.  On an interval or rationals core, a
-    thin b is reduced as a removal (_reduce_removal_piece), which subtracts
-    its solids through here: intervals, and rationals from rationals."""
+    """Pieces of a \\ b for core atoms.  On an interval, rationals or family
+    core, any b but an interval (and but a family tail, on a family core) is
+    reduced as a removal (_reduce_removal_piece), which subtracts its solids
+    through here: intervals, and rationals from rationals."""
     if isinstance(a, EmptySet):
         return []
     if isinstance(b, EmptySet):
@@ -1206,14 +1205,12 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
         for comp in iv_complement(b):
             out.extend(_core_intersect(a, comp))
         return out
-    if ta is Interval or ta is RationalsIn:
-        if ta is RationalsIn and tb is RationalsIn:
-            return _core_subtract(a, b.iv)
+    if ta is RationalsIn and tb is RationalsIn:
+        return _core_subtract(a, b.iv)
+    if ta is Interval or ta is RationalsIn or (ta is IntervalFamily and tb is not IntervalFamily):
         return _reduce_removal_piece(a, (b,))
     if tb is FinitePoints:
         return _subtract_points(a, b.points)
-    if ta is IntervalFamily and (tb is RationalsIn or tb is CantorAffine):
-        return _cut_thin(a, b)
     if tb is RationalsIn:
         if ta is CantorAffine:
             if _iv_disjoint(a.box(), b.box()):
@@ -1230,8 +1227,6 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
                 return [Piece(m, ()) for m in _members(a, b.start)]
             shared = _seq_shared_values(a, b)
             return _subtract_points(a, shared) if shared else [Piece(a, ())]
-        if ta is IntervalFamily:
-            return [Piece(a, (b,))]
         if _iv_disjoint(a.box(), b.box()):
             return [Piece(a, ())]
         raise UnsupportedIntersection("difference with a sequence is outside the algebra")
@@ -1244,18 +1239,6 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
             raise UnsupportedIntersection("sequence minus an overlapping family tail")
         raise UnsupportedIntersection("thin atom minus family tail is outside the algebra")
     raise AssertionError(f"unhandled difference {ta} \\ {tb}")
-
-
-def _cut_thin(a: IntervalFamily, b: SetExpr) -> list[Piece]:
-    """A family tail a minus a thin atom b (rationals or a Cantor image): b
-    clipped to a's box splits a when only points are left, else is a removal."""
-    parts = _core_intersect(b, a.box())  # at most one piece
-    if not parts:
-        return [Piece(a, ())]
-    clipped = parts[0].core
-    if isinstance(clipped, FinitePoints):
-        return _subtract_points(a, clipped.points)
-    return [Piece(a, (clipped,))]
 
 
 def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
@@ -1317,12 +1300,12 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
 
     def file(p: Piece) -> None:
         """File a piece whose tails are canonical as a solid, as points or
-        in the rest, reducing the removals of intervals and rationals."""
+        in the rest, reducing the removals of an interval, rationals or family core."""
         core = p.core
         if isinstance(core, FinitePoints):
             removed = _any_of([r.tester() for r in p.removals])
             pts.update(x for x in core.points if not removed(x))
-        elif isinstance(core, (Interval, RationalsIn)):
+        elif isinstance(core, (Interval, RationalsIn, IntervalFamily)):
             reduced = _reduce_removal_piece(core, p.removals) if p.removals else [p]
             if not (len(reduced) == 1 and reduced[0].core == core):
                 for q in reduced:
@@ -1336,8 +1319,6 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
             # stands for the whole atom: a known defect, pinned by strict
             # xfails in tests/test_sets.py.
             rest.append(Piece(core, ()))
-        elif isinstance(core, IntervalFamily):
-            rest.append(p)
         elif not isinstance(core, EmptySet):
             raise AssertionError(f"unexpected piece core {core!r}")
 
@@ -1443,18 +1424,19 @@ def _absorb_ends(iv: Interval, pts: set) -> Interval:
 
 
 def _reduce_removal_piece(core: SetExpr, removals: tuple) -> list[Piece]:
-    """The one place that reduces the removals of an interval or rationals
-    core.  Each is clipped to the core's box: a sequence that meets it stays
-    whole, and a family tail's members turn solid.  Points split the core,
-    solids (and rationals from rationals) subtract exactly, and the thin
-    rest stays, removed rationals merged so that equal sets compare equal."""
-    box, clipped = core.box(), []
-    for r in removals:
-        if isinstance(r, Sequence):
-            if not _iv_disjoint(r.box(), box):
-                clipped.append(r)
-        else:
-            clipped.extend(part.core for part in _core_intersect(r, box))
+    """The one place that reduces the removals of a core that keeps them: an
+    interval, rationals or a family tail.  Each is clipped to the core's box
+    (_core_intersect), and a family tail's members that the clip takes one
+    by one turn solid.  Points split the core, solids (and rationals from
+    rationals) subtract exactly, and the thin rest stays, removed rationals
+    merged so that equal sets compare equal.  A family core is refused when
+    its clipped removals hold a solid and a family tail on its own limit and
+    side: the solid cuts its tail, and each shorter tail could be cut again."""
+    box = core.box()
+    clipped = [part.core for r in removals for part in _core_intersect(r, box)]
+    cut = isinstance(core, IntervalFamily) and any(isinstance(r, Interval) for r in clipped)
+    if cut and any(isinstance(r, IntervalFamily) and tail_info(r)[:2] == tail_info(core)[:2] for r in clipped):
+        raise UnsupportedIntersection("family tails interleave; not reducible")  # [:2]: limit and side
     rats = [RationalsIn(iv) for iv in merge_intervals([r.iv for r in clipped if isinstance(r, RationalsIn)])]
     cleaned = {r for r in clipped if not isinstance(r, RationalsIn)}.union(rats)
     pts = tuple(sorted({p for r in cleaned if isinstance(r, FinitePoints) for p in r.points}))

@@ -55,6 +55,31 @@ def test_density_omega(capsys):
     assert "zero" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, line, fields, code",
+    [
+        ("[0, 1]", "value 1/2", {"verdict": "value", "value": "1/2", "lower_bound": None}, EXIT_OK),
+        (
+            "family(3/4*(1/2)^n, (1/2)^n)",
+            "positive (liminf >= 1/16)",
+            {"verdict": "positive", "value": None, "lower_bound": "1/16"},
+            EXIT_OK,
+        ),
+        (
+            "(0, 1) \\ family(3/4*(1/2)^n, (1/2)^n)",
+            "undecided (a positive-density removal hides the limit)",
+            {"verdict": "undecided", "reason": "a positive-density removal hides the limit"},
+            EXIT_UNDECIDABLE,
+        ),
+    ],
+)
+def test_density_outcomes_in_text_and_structured(text, line, fields, code, capsys):
+    assert run(["density", "--set", text, "--at", "0"]) == code
+    assert capsys.readouterr().out == f"density at 0: {line}\n"
+    assert run(["--format", "structured", "density", "--set", text, "--at", "0"]) == code
+    assert json.loads(capsys.readouterr().out) == {"command": "density", **fields}
+
+
 def test_cardinality(capsys):
     code = run(["cardinality", "--set", "cantor(0,1)", "--at", "0", "--radius", "1/2"])
     assert code == EXIT_OK

@@ -898,6 +898,17 @@ def test_union_with_itself_has_the_same_measure():
     assert measure(parse_set(f"{tail} | {tail}")).value == Q(69, 80)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 1: measure ignores a family core's family removal"
+)
+def test_family_core_minus_a_nested_family_tail_has_the_difference_measure():
+    # every member of the second family lies inside the member of the first
+    # with the same index, so the measure is 69/80 - 1/3; the piece
+    # family(.., 16) \ family(.., 16) is measured as its core
+    e = parse_set("family(1/n - (1/2)^n, 1/n) & ([0, 1] \\ family(1/n - (1/4)^n, 1/n))")
+    assert measure(e).value == Q(127, 240)
+
+
 # --- one solid cover reaches every piece, and measure is additive -------------------
 
 
@@ -929,6 +940,31 @@ def test_measure_is_additive_over_seeded_pairs():
             gap = whole.bound_gap + minus.bound_gap + meet.bound_gap
             assert abs(whole.value - minus.value - meet.value) <= gap, seed
     assert decided > 2000
+
+
+# --- families whose members chain into an interval ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, collapsed",
+    [
+        ("family(1/n, 1 + 1/n)", "(0, 2)"),  # distinct endpoint limits
+        ("family(-1/n, 1/n)", "[-1, 1)"),  # members straddle the limit
+        ("family(1/2*(1/2)^n, (1/2)^n, 1, 0, 0)", "(0, 1/2) \\ seq(1/2*(1/2)^n)"),  # open members touch
+    ],
+)
+def test_chained_family_against_its_members(text, collapsed):
+    e = parse_set(text)
+    assert sets._normal(e) == sets._normal(parse_set(collapsed))
+    members = [e.member(n) for n in range(1, 4001)]
+    edges = [v for m in members[:12] for v in (m.lo, m.hi)] + [Q(k, 8) for k in range(-9, 18)]
+    probes = edges + [(u + v) / 2 for u, v in zip(edges, edges[1:])] + [Q(1, 1000), Q(-1, 999)]
+    for x in probes:
+        assert contains(e, x) == any(m.contains(x) for m in members), x
+    # the members past the 64th add less than 1/64 here
+    m, first = measure(e), measure(Union(tuple(members[:64])))
+    assert m.exact and 0 <= m.value - first.value <= Q(1, 64)
+    assert m.value == measure(parse_set(collapsed)).value
 
 
 # --- normal forms are values -----------------------------------------------------------
@@ -1229,6 +1265,52 @@ def test_thin_removal_is_not_carried_onto_a_sequence_core(text):
     e = parse_set(text)
     xs = [Q(0), Q(1, 2), Q(-1), Q(1)] + [Q(1, n) + d for n in range(1, 13) for d in (0, Q(-1, 2))]
     assert [contains(e, x) for x in xs] == [_tree_contains(e, x) for x in xs]
+
+
+def _removal_in_closed_box(core, r) -> bool:
+    box = core.box()
+    closed = interval(box.lo, box.hi)
+    if isinstance(r, FinitePoints):
+        return all(closed.contains(p) for p in r.points)
+    return sets._iv_covers(closed, r.box())
+
+
+def test_every_removal_lies_in_the_closed_box_of_its_core():
+    # each removal is clipped to its core, so one set has one normal form
+    checked = 0
+    for s in range(3000):
+        e = rand_set_expr(random.Random(s), 3)
+        for x in (e, mirror(e)):
+            try:
+                n = sets._normal(x)
+            except UnsupportedIntersection:
+                continue
+            for p in (p for p in n.pieces if p.removals):
+                checked += 1
+                assert all(_removal_in_closed_box(p.core, r) for r in p.removals), (s, set_to_text(x), p)
+    assert checked > 250
+
+
+def test_a_family_core_keeps_only_the_rationals_in_its_box():
+    n = sets._normal(parse_set("family(1/n - (1/2)^n, 1/n) & ([-1, 1] \\ Q(R))"))
+    (tail,) = [p for p in n.pieces if isinstance(p.core, IntervalFamily)]
+    assert tail.removals == (rationals_in(interval(0, Q(1, 16), True, False)),)
+
+
+def test_a_clipped_and_an_unclipped_sequence_removal_give_one_normal_form():
+    whole, clipped = r"[-1, 0) \ seq(1/n - 1/2)", r"[-1, 0) \ (seq(1/n - 1/2) & [-1, 0))"
+    assert sets._normal(parse_set(whole)) == sets._normal(parse_set(clipped))
+    m = measure(parse_set(f"({whole}) | ({clipped})"))
+    assert m.value == 1 and m.exact
+
+
+def test_a_family_removal_that_cuts_every_shorter_tail_of_its_core_is_refused():
+    # a member of the removal straddles the far edge of each member of the
+    # core, so every tail left by clipping the removal to the core's box would
+    # be cut again
+    text = "family(1/n, 1/n + 1/4/n^2) & ([0, 1] \\ family(1/n + 1/8/n^2, 1/n + 1/2/n^2))"
+    with pytest.raises(UnsupportedIntersection, match="family tails interleave"):
+        sets._normal(parse_set(text))
 
 
 def test_golden_normals():
