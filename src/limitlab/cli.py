@@ -36,14 +36,11 @@ EXIT_UNDECIDABLE = 2
 class Report:
     command: str
     fields: dict
-    exit_code: int = EXIT_OK
-    lines: list | tuple = ()
+    exit_code: int
+    lines: list | tuple
 
     def to_text(self) -> str:
-        out = list(self.lines) if self.lines else [
-            f"{k}: {v}" for k, v in self.fields.items()
-        ]
-        return "\n".join(out)
+        return "\n".join(self.lines)
 
     def to_structured(self) -> str:
         return json.dumps({"command": self.command, **self.fields}, indent=2)

@@ -2,16 +2,19 @@
 
 When L is a T5 (or T6) limit of f at a, f splits into g with a classical
 limit L at a and a remainder h supported - inside some window - on a
-countable (respectively measure-zero) set.  The status comes from the
-region table of `limits`; the construction walks the same eps bands as the
-witnesses of `check`, in decreasing eps, with window radii forced
-nonincreasing so the largest one serves as the certified window radius of
-the decomposition.  Each band's exceptional set is clipped to its window
-region by region, so a union of regions that cannot be normalized as a
-whole does not block a decomposition whose clipped parts can.
+countable (respectively measure-zero) set.  The status, the witnesses and
+the parts come from `check`'s region table and eps bands.  At the smallest
+test eps, half the smallest nonzero gap |p(a) - L|, a region with p(a) != L
+lies near a wholly inside its part, so g has the classical limit L once
+those parts are set to L.  Each part is clipped once, on its own, to the
+window of the smallest witness radius: that window is no larger than the
+band's own witness window, so the clipped parts are t-small, and it lies
+inside the window of the largest eps's witness, the certified radius.  A
+union of regions that cannot be normalized as a whole does not block a
+decomposition whose clipped parts can.
 
 g is L on the union of the clipped parts and f elsewhere, so f - g is
-p_i - L on region i's clipped parts and 0 elsewhere: h is built from those
+p_i - L on region i's clipped part and 0 elsewhere: h is built from those
 (part, p_i - L) pairs directly, with no function arithmetic, and g + h = f
 holds at every point by construction.
 
@@ -47,40 +50,28 @@ class Decomposition:
 def decompose(f: PiecewiseFn, a, L, t: LimitType) -> Decomposition:
     """Split f = g + h realizing a type-t limit L at a.
 
-    g equals L on the union of the banded exceptional sets and follows f
-    elsewhere; h is p - L on each region's part of that union and 0
-    elsewhere, supported near a on a t-small set.
+    g equals L on the union of the smallest eps band's parts, clipped to the
+    smallest witness window, and follows f elsewhere; h is p - L on each
+    region's part of that union and 0 elsewhere, supported near a on a
+    t-small set.
     """
     a, L = Q(a), Q(L)
     if t not in (LimitType.T5, LimitType.T6):
         raise ValueError("decomposition applies to T5 and T6")
     regions, (germs,) = _region_germs(f, a, (t,))
-    verdict, bands = _verdict(regions, germs, a, L, t)
+    verdict, parts = _verdict(regions, germs, a, L, t)
     if not verdict.passed():
         raise PrerequisiteNotMet(f"no type-{t.value} limit {L} at {a}: {verdict.evidence}")
 
-    # walk the bands in decreasing eps with window radii forced nonincreasing,
-    # so the first (largest) radius bounds every later one; each region's
-    # part is clipped on its own, and a band yields its parts in the order
-    # of the effective regions
-    delta0 = running = bands[-1][1]
-    offsets = [p - Poly.const(L) for _, p in regions]
-    parts = []
-    for _, delta, band in reversed(bands):
-        running = min(running, delta)
-        window = punctured_window(a, running)
-        for part, offset in zip(band, offsets):
-            clipped = _normal(Intersection((part, window)))
-            if clipped.pieces:
-                parts.append((clipped, offset))
-    union = _normal(Union(part for part, _ in parts))
-    if parts:
-        g = PiecewiseFn(f.domain, ((union, Poly.const(L)),) + f.branches, f.default)
-    else:
-        g = f
-    # several bands can clip the same part: h keeps the first of equal branches
-    h = PiecewiseFn(f.domain, tuple(dict.fromkeys(parts)), Poly.const(0))
-    return Decomposition(g, h, delta0, union)
+    # the certified radius is the witness at the largest eps; the parts, in
+    # the order of the effective regions, are clipped to the smallest one
+    window = punctured_window(a, min(delta for _, delta in verdict.witness))
+    clipped = ((_normal(Intersection((part, window))), p - Poly.const(L)) for part, (_, p) in zip(parts, regions))
+    h_branches = tuple((part, offset) for part, offset in clipped if part.pieces)
+    union = _normal(Union(part for part, _ in h_branches))
+    g = PiecewiseFn(f.domain, ((union, Poly.const(L)),) + f.branches, f.default) if h_branches else f
+    h = PiecewiseFn(f.domain, h_branches, Poly.const(0))
+    return Decomposition(g, h, verdict.witness[-1][1], union)
 
 
 def verify_decomposition(d: Decomposition, f: PiecewiseFn, a, L, t: LimitType, probes: int = 1000, seed: int = 7) -> bool:
@@ -99,9 +90,8 @@ def verify_decomposition(d: Decomposition, f: PiecewiseFn, a, L, t: LimitType, p
         if eval_g(x) + eval_h(x) != eval_f(x):
             return False
     _, (germs,) = _region_germs(d.g, a, (LimitType.T1,))
-    status = _status(germs, L)
+    status, reason = _status(germs, L)
     if status == "undecidable":
-        reason = next(small for value, small in germs if value != L and small is not True)
         raise UnsupportedIntersection(f"classical limit of g: {reason}")
     if status != "pass":
         return False

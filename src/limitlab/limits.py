@@ -23,7 +23,7 @@ region's superlevel set once and yields the parts region ∩ outer sandwich
 side, with a witness radius delta read from their union, or, when the union
 cannot be normalized, from each part, the smallest radius serving.  A `pass`
 from `check` carries these (eps, delta) witnesses; `decompose` clips the
-same parts to build its exceptional union.
+parts of the smallest eps to the smallest witness radius.
 """
 
 from __future__ import annotations
@@ -172,15 +172,14 @@ def _region_germs(f: PiecewiseFn, a: Q, types) -> tuple[tuple, tuple]:
     return regions, tuple(map(tuple, rows))
 
 
-def _status(germs, L: Q) -> str:
-    """'fail' if a region with p(a) != L is not small, 'undecidable' if one
-    is unknown, 'pass' otherwise."""
+def _status(germs, L: Q) -> tuple[str, str]:
+    """('fail', '') if a region with p(a) != L is not small, ('undecidable',
+    the first unknown region's reason) if one is unknown, ('pass', '') else."""
     smalls = [small for value, small in germs if value != L]
     if any(small is False for small in smalls):
-        return "fail"
-    if any(small is not True for small in smalls):
-        return "undecidable"
-    return "pass"
+        return "fail", ""
+    unknown = [small for small in smalls if small is not True]
+    return ("undecidable", unknown[0]) if unknown else ("pass", "")
 
 
 def _bands(regions, a: Q, L: Q, t: LimitType):
@@ -209,24 +208,24 @@ def check(f: PiecewiseFn, a, L, t: LimitType) -> Verdict:
 
 
 def _verdict(regions, germs, a: Q, L: Q, t: LimitType):
-    """check's verdict from the regions and their type-t rows, with the bands of a pass."""
-    status = _status(germs, L)
+    """check's verdict from the regions and their type-t rows, with the smallest eps's parts of a pass."""
+    status, reason = _status(germs, L)
     if status == "undecidable":
-        reason = next(small for value, small in germs if value != L and small is not True)
-        return Verdict("undecidable", evidence=reason), []
+        return Verdict("undecidable", evidence=reason), ()
     if status == "fail":
         evidence = f"the exceptional set stays non-{_small_name(t)} in every window"
-        return Verdict("fail", evidence=f"eps={_test_epsilons(regions, a, L)[0]}: {evidence}"), []
-    bands = []
+        return Verdict("fail", evidence=f"eps={_test_epsilons(regions, a, L)[0]}: {evidence}"), ()
+    witness, first = [], ()
     try:
         for eps, delta, parts in _bands(regions, a, L, t):
             if delta is None:
                 # the germ is small, but a root enclosure of the sandwich reaches a
-                return Verdict("undecidable", evidence=f"eps={eps}: sandwich sides disagree at the point"), []
-            bands.append((eps, delta, parts))
+                return Verdict("undecidable", evidence=f"eps={eps}: sandwich sides disagree at the point"), ()
+            witness.append((eps, delta))
+            first = first or parts
     except UnsupportedIntersection as exc:
-        return Verdict("undecidable", evidence=f"set algebra: {exc}"), []
-    return Verdict("pass", witness=tuple((eps, delta) for eps, delta, _ in bands)), bands
+        return Verdict("undecidable", evidence=f"set algebra: {exc}"), ()
+    return Verdict("pass", witness=tuple(witness)), first
 
 
 def _small_name(t: LimitType) -> str:
@@ -253,7 +252,7 @@ def classify(f: PiecewiseFn, a) -> LimitReport:
     statuses = {}  # per type, one status per candidate
     outcomes = {}
     for group, germs in zip(CHAIN, tables):
-        status = [_status(germs, L) for L in cands]
+        status = [_status(germs, L)[0] for L in cands]
         if "pass" in status:
             outcome = TypeOutcome("yes", cands[status.index("pass")])
         elif "undecidable" in status:

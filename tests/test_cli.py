@@ -101,7 +101,7 @@ def test_decompose_refused_by_the_verifier(capsys):
         [
             "--format", "structured", "decompose",
             "--fn", "piecewise { 1/3 on cantor(0, 1); 7/3 on Q((0, 2]); else -1 }",
-            "--at=-1/3", "--value=-1", "--type", "t5",
+            "--at=1/3", "--value=-1", "--type", "t6",
         ]
     )
     out, err = capsys.readouterr()

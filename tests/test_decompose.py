@@ -4,13 +4,13 @@ from fractions import Fraction as Q
 import pytest
 
 from limitlab.decompose import Decomposition, decompose, verify_decomposition
-from limitlab.dsl import parse_fn
+from limitlab.dsl import parse_fn, set_to_text
 from limitlab.errors import PrerequisiteNotMet, UnsupportedIntersection
-from limitlab.functions import PiecewiseFn, fn_add, fn_eval, indicator_fn
+from limitlab.functions import PiecewiseFn, fn_add, fn_eval, indicator_fn, punctured_window
 from limitlab.limits import LimitType, check, classify
 from limitlab.poly import Poly
 from limitlab.sampling import sample_points
-from limitlab.sets import FULL_LINE, contains, interval, rationals_in
+from limitlab.sets import FULL_LINE, Intersection, _normal, contains, interval, rationals_in
 
 from conftest import CORPUS_POINTS, certified_fn, corpus, mirror_fn
 
@@ -148,21 +148,23 @@ def test_sum_reproduces_f_at_the_probe_points():
 
 
 def test_undecidable_classical_limit_of_g_is_a_refusal():
-    # g's regions take the exceptional union, a set of rationals, out of
-    # cantor(0, 1); the set algebra refuses a Cantor image minus rationals,
-    # and the verifier says so instead of rejecting the decomposition
+    # at 1/3 the T6 exceptional union holds Cantor pieces and rationals minus
+    # the Cantor image; g's regions take it out of cantor(0, 1), which the set
+    # algebra refuses, and the verifier says so instead of rejecting the
+    # decomposition
     f = parse_fn("piecewise { 1/3 on cantor(0, 1); 7/3 on Q((0, 2]); else -1 }")
-    a = Q(-1, 3)
-    assert classify(f, a).outcomes[T5].value == -1
-    d = decompose(f, a, -1, T5)
-    with pytest.raises(UnsupportedIntersection, match="classical limit of g"):
-        verify_decomposition(d, f, a, -1, T5)
+    a = Q(1, 3)
+    assert classify(f, a).outcomes[T6].value == -1
+    d = decompose(f, a, -1, T6)
+    with pytest.raises(UnsupportedIntersection, match="classical limit of g: set algebra: Cantor image minus rationals"):
+        verify_decomposition(d, f, a, -1, T6)
 
 
 def test_h_has_no_repeated_branches():
-    # several bands can clip the same part; h keeps the first of equal
-    # branches, and g + h = f still holds.  On the named function the three
-    # bands at 1/2 all clip Q((-1/2, 1/4]) minus the sequence
+    # h has one branch per region whose clipped part is nonempty, and g + h = f
+    # still holds.  The named function has the classical limit -1/2 at 1/2:
+    # no region with p(1/2) != -1/2 reaches 1/2, every clipped part is empty,
+    # and h is 0
     found = parse_fn("piecewise { -1/2 - 7/8*x on seq(3/n^2, 3); -2 + 2/3*x on Q([-7/4, 1/4]); else -1/2 }")
     checked = 0
     for f, a in [(found, Q(1, 2))] + corpus(11, 60):
@@ -180,4 +182,35 @@ def test_h_has_no_repeated_branches():
                 assert fn_eval(d.g, x) + fn_eval(d.h, x) == fn_eval(f, x), (f, a, t, x)
             checked += 1
     assert checked > 60
-    assert len(decompose(found, Q(1, 2), Q(-1, 2), T5).h.branches) == 1
+    assert decompose(found, Q(1, 2), Q(-1, 2), T5).h.branches == ()
+
+
+def _corpus_decompositions():
+    """(f, a, L, t, d) for every T5/T6 decomposition of corpus(11, 60) and its mirrors."""
+    out = []
+    for f, a in corpus(11, 60):
+        for g, b in ((f, a), (mirror_fn(f), -a)):
+            rep = classify(g, b)
+            for t in (T5, T6):
+                if rep.outcomes[t].exists == "yes":
+                    L = rep.outcomes[t].value
+                    out.append((g, b, L, t, decompose(g, b, L, t)))
+    assert len(out) == 218
+    return out
+
+
+def test_exceptional_union_holds_each_piece_once():
+    # one band's parts, from disjoint regions, are clipped once: no piece of
+    # the union repeats, as pieces clipped by several bands did
+    for f, a, L, t, d in _corpus_decompositions():
+        pieces = d.exceptional_union.pieces
+        assert len(set(pieces)) == len(pieces), (f, a, t, set_to_text(d.exceptional_union))
+
+
+def test_exceptional_union_lies_in_the_smallest_witness_window():
+    # every part is clipped to the punctured window of the smallest witness
+    # radius of check, not to the larger windows of the larger eps bands
+    for f, a, L, t, d in _corpus_decompositions():
+        radius = min(delta for _, delta in check(f, a, L, t).witness)
+        clipped = _normal(Intersection((d.exceptional_union, punctured_window(a, radius))))
+        assert clipped == d.exceptional_union, (f, a, t, set_to_text(d.exceptional_union))
