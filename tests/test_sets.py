@@ -1217,8 +1217,10 @@ def test_uncovered_against_point_membership():
 # interval core and a rationals core minus each kind of thin atom, then minus
 # [0, 1], which clips the removal again to a smaller core, and minus the thin
 # atom together with rationals less a sequence, which the core meets in a
-# sequence core that keeps no removals.  Rewrite the file
-# after a deliberate change with `PYTHONPATH=src python tests/test_sets.py`
+# sequence core that keeps no removals.  It also freezes each thin atom, and
+# its mirror, minus points, intervals, and points with an interval, which
+# clip the atom to the gaps between them.  Rewrite the file after a
+# deliberate change with `PYTHONPATH=src python tests/test_sets.py`
 # and review the diff.
 
 NORMALS_GOLDEN = Path(__file__).parent / "golden" / "normals.json"
@@ -1227,6 +1229,7 @@ _THIN = (
     "points(-1, 0, 1/2, 2)", "Q([-1/2, 2])", "cantor(0, 1)", "cantor(-1, 2)", "cantor(1, 1)",
     "seq(1/n)", "seq(1/n - 1/2)", "family(1/n - (1/2)^n, 1/n)",
 )
+_HOLES = ("points(-1, 0, 1/9, 1/7, 2/9, 1/3, 1/2, 2)", "[1/7, 1/3]", "(2/9, 1/3]", "(points(1/7) | [1/4, 2/3))")
 
 
 def _normal_text(e) -> str:
@@ -1251,6 +1254,11 @@ def golden_normals() -> dict[str, str]:
                 f"{core} \\ ({x} | (Q([-1/2, 2]) \\ seq(1/n - 1/2)))",
             ):
                 out[text] = _normal_text(parse_set(text))
+    for x in _THIN:
+        for hole in _HOLES:
+            text = f"{x} \\ {hole}"
+            out[text] = _normal_text(parse_set(text))
+            out[f"mirror {text}"] = _normal_text(mirror(parse_set(text)))
     return out
 
 
