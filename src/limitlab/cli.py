@@ -98,11 +98,12 @@ def _cmd_classify(args) -> Report:
 def _cmd_limit(args) -> Report:
     f = _load_fn(args.fn)
     t = LimitType(args.type)
-    verdict = check(f, parse_rational(args.at), parse_rational(args.value), t)
+    a, L = parse_rational(args.at), parse_rational(args.value)
+    verdict = check(f, a, L, t)
     fields = {
         "type": t.value,
-        "point": args.at,
-        "value": args.value,
+        "point": _q(a),
+        "value": _q(L),
         "status": verdict.status,
         "witness": [[_q(e), _q(d)] for e, d in verdict.witness],
         "evidence": verdict.evidence,
@@ -157,7 +158,7 @@ def _cmd_cardinality(args) -> Report:
     radius = parse_rational(args.radius)
     trace = window_trace(expr, a, radius)
     c = cardinality(trace)
-    fields = {"kind": c.kind, "count": c.count, "point": args.at, "radius": args.radius}
+    fields = {"kind": c.kind, "count": c.count, "point": _q(a), "radius": _q(radius)}
     return Report(
         "cardinality",
         fields,

@@ -80,6 +80,16 @@ def test_density_outcomes_in_text_and_structured(text, line, fields, code, capsy
     assert json.loads(capsys.readouterr().out) == {"command": "density", **fields}
 
 
+@pytest.mark.parametrize("argv, echo", [
+    (["limit", "--fn", "piecewise { else x }", "--at=2/4", "--value=00/6", "--type=t1"], {"point": "1/2", "value": "0"}),
+    (["cardinality", "--set", "cantor(0,1)", "--at=-0/3", "--radius=04/8"], {"point": "0", "radius": "1/2"}),
+])
+def test_structured_echo_of_rational_flags_is_in_lowest_terms(argv, echo, capsys):
+    assert run(["--format", "structured", *argv]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert {k: payload[k] for k in echo} == echo
+
+
 def test_cardinality(capsys):
     code = run(["cardinality", "--set", "cantor(0,1)", "--at", "0", "--radius", "1/2"])
     assert code == EXIT_OK
