@@ -25,10 +25,11 @@ intervals, rationals and family tails are clipped to the core's box and
 reduced (by _reduce_removal_piece, which _core_subtract also calls for an
 atom taken from such a core), and each piece is filed as a plain interval (a
 solid), as points, or in the rest.
-Cover: the merged solids are taken out of every piece of the rest by one
-helper (_minus_cover) and the parts are filed again; a plain interval split
-off a piece joins the cover, so this repeats until no solid is added.  Plain rationals also cover
-sequences, and a Cantor piece goes only when a single solid covers its box.
+Cover: every piece of the rest is clipped to the gaps between the merged
+solids (_minus_cover) and the parts are filed again; a plain interval split
+off a piece joins the cover, so this repeats until no solid is added.  Plain
+rationals also cover sequences, and a Cantor piece goes only when a single
+solid covers its box.
 Finish: the refusal checks, co-thin pieces (intervals that carry removals)
 with equal removals merged, and the points left closing the open ends of
 solids and of plain rationals.
@@ -38,7 +39,8 @@ Interval ends compare as cuts, sortable tuples between the rationals:
 CUT_TOP below and above every finite cut.  [v and (v have the low cuts
 below and above v, and v] and v) the high cuts above and below it.  An
 interval is its pair of cuts (Interval.low, Interval.high), nonempty when
-low < high, so each question of the interval algebra is one comparison.
+low < high, so each question of the interval algebra is one comparison; a
+set minus intervals and points is clipped to the gaps between them (_outside).
 
 Every atom carries its own facts, so no other module asks an atom for its
 class: `kind` and `rank` (its germ kind and its place in a normal form),
@@ -599,11 +601,6 @@ def iv_intersect(a: Interval, b: Interval) -> SetExpr:
     return between(max(a.low, b.low), min(a.high, b.high))
 
 
-def iv_complement(b: Interval) -> list[Interval]:
-    pieces = (between(CUT_BOTTOM, b.low), between(b.high, CUT_TOP))
-    return [piece for piece in pieces if piece is not EMPTY]
-
-
 def _iv_covers(a: Interval, b: Interval) -> bool:
     """a is a superset of b."""
     return a.low <= b.low and b.high <= a.high
@@ -1158,11 +1155,10 @@ def _seq_shared_values(a: Sequence, b: Sequence) -> tuple[Q, ...]:
         if isinstance(piece.core, Sequence):
             raise AssertionError("a sequence tail cannot accumulate away from its limit")
         shared.update(v for v in piece.core.points if in_a(v))
-    for comp in iv_complement(window):
-        for piece in _tail_clip(a, comp):
-            if isinstance(piece.core, Sequence):
-                raise AssertionError("a sequence tail cannot accumulate away from its limit")
-            shared.update(v for v in piece.core.points if in_b(v))
+    for piece in _outside(a, [(window.low, window.high)]):
+        if isinstance(piece.core, Sequence):
+            raise AssertionError("a sequence tail cannot accumulate away from its limit")
+        shared.update(v for v in piece.core.points if in_b(v))
     return tuple(sorted(shared))
 
 
@@ -1184,10 +1180,10 @@ def _merge_removals(a: tuple, b: tuple) -> tuple:
 
 
 def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
-    """Pieces of a \\ b for core atoms.  On an interval, rationals or family
-    core, any b but an interval (and but a family tail, on a family core) is
-    reduced as a removal (_reduce_removal_piece), which subtracts its solids
-    through here: intervals, and rationals from rationals."""
+    """Pieces of a \\ b for core atoms.  An interval b, or points, clip a to
+    the gaps around them (_outside).  On an interval, rationals or family
+    core, any other b (but a family tail, on a family core) is reduced as a
+    removal (_reduce_removal_piece)."""
     if isinstance(a, EmptySet):
         return []
     if isinstance(b, EmptySet):
@@ -1201,16 +1197,13 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
         kept = tuple(p for p in a.points if not inside(p))
         return [Piece(FinitePoints(kept), ())] if kept else []
     if tb is Interval:
-        out = []
-        for comp in iv_complement(b):
-            out.extend(_core_intersect(a, comp))
-        return out
+        return _outside(a, [(b.low, b.high)])
     if ta is RationalsIn and tb is RationalsIn:
         return _core_subtract(a, b.iv)
     if ta is Interval or ta is RationalsIn or (ta is IntervalFamily and tb is not IntervalFamily):
         return _reduce_removal_piece(a, (b,))
     if tb is FinitePoints:
-        return _subtract_points(a, b.points)
+        return _outside(a, _point_holes(a, b.points))
     if tb is RationalsIn:
         if ta is CantorAffine:
             if _iv_disjoint(a.box(), b.box()):
@@ -1225,8 +1218,7 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
         if ta is Sequence:
             if a.term == b.term:
                 return [Piece(m, ()) for m in _members(a, b.start)]
-            shared = _seq_shared_values(a, b)
-            return _subtract_points(a, shared) if shared else [Piece(a, ())]
+            return _outside(a, _point_holes(a, _seq_shared_values(a, b)))
         if _iv_disjoint(a.box(), b.box()):
             return [Piece(a, ())]
         raise UnsupportedIntersection("difference with a sequence is outside the algebra")
@@ -1241,36 +1233,23 @@ def _core_subtract(a: SetExpr, b: SetExpr) -> list[Piece]:
     raise AssertionError(f"unhandled difference {ta} \\ {tb}")
 
 
-def _subtract_points(a: SetExpr, pts: tuple[Q, ...]) -> list[Piece]:
-    inside = a.tester()
-    relevant = [p for p in pts if inside(p)]
-    if not relevant:
-        return [Piece(a, ())]
-    if isinstance(a, _Tail):
-        # the members up to the last one holding a point materialize, less
-        # the points, and the tail goes on after it
-        info = tail_info(a)
-        cut = 1 + max(member_at(a, info, p) for p in relevant)
-        removed = FinitePoints(tuple(sorted(relevant)))
-        out = [q for m in _members(a, cut) for q in _core_subtract(m, removed)]
-        return out + [Piece(a._replace(start=cut), ())]
-    # each point splits every piece holding it along the two open half-lines
-    # at the point
-    pieces = [a]
-    for p in sorted(relevant):
-        nxt = []
-        for c in pieces:
-            if not c.contains(p):
-                nxt.append(c)
-                continue
-            for half in (Interval(None, p, False, False), Interval(p, None, False, False)):
-                nxt.extend(q.core for q in _core_intersect(c, half))
-        pieces = nxt
-    return [Piece(c, ()) for c in pieces]
+def _outside(core: SetExpr, holes: list[tuple]) -> list[Piece]:
+    """Pieces of core outside the holes, (low, high) pairs of cuts sorted by
+    low, a point p being ((0, p, False), (0, p, True)): the core clipped to
+    each gap between them.  A hole within an earlier one leaves no gap."""
+    if not holes:
+        return [Piece(core, ())]
+    out, low = [], CUT_BOTTOM
+    for h_low, h_high in [*holes, (CUT_TOP, CUT_TOP)]:
+        out += _core_intersect(core, between(low, h_low))
+        low = max(low, h_high)
+    return out
 
 
-def _piece_subtract_atom(p: Piece, b: SetExpr) -> list[Piece]:
-    return _attach_removals(_core_subtract(p.core, b), p.removals)
+def _point_holes(core: SetExpr, pts) -> list[tuple]:
+    """The holes (see _outside) of the points of pts that the core holds."""
+    inside = core.tester() if pts else _never
+    return [((0, p, False), (0, p, True)) for p in pts if inside(p)]
 
 
 def _piece_intersect(p1: Piece, p2: Piece) -> list[Piece]:
@@ -1280,7 +1259,7 @@ def _piece_intersect(p1: Piece, p2: Piece) -> list[Piece]:
 
 def _piece_subtract(p1: Piece, p2: Piece) -> list[Piece]:
     # x in result iff x in p1 and (x not in core2 or x in some removal of p2)
-    out = _piece_subtract_atom(p1, p2.core)
+    out = _attach_removals(_core_subtract(p1.core, p2.core), p1.removals)
     common = _attach_removals(_core_intersect(p1.core, p2.core), p1.removals) if p2.removals else []
     for r in p2.removals:
         for q in common:
@@ -1404,16 +1383,15 @@ def _canonical_union(pieces: list[Piece]) -> Normal:
 
 
 def _minus_cover(core: SetExpr, cover: list[Interval]) -> list[Piece]:
-    """The pieces of core that no interval of the cover holds; the cover is
-    sorted and merged (merge_intervals)."""
-    box, parts = core.box(), [Piece(core, ())]
-    low, high = box.low, box.high
+    """The pieces of core outside the sorted, merged cover: the core clipped
+    to the gaps between the cover's intervals that meet its box (_outside)."""
+    box, holes = core.box(), []
     for c in cover:
-        if c.low >= high:
+        if c.low >= box.high:
             break
-        if low < c.high:
-            parts = [w for q in parts for w in _core_subtract(q.core, c)]
-    return parts
+        if box.low < c.high:
+            holes.append((c.low, c.high))
+    return _outside(core, holes)
 
 
 def _absorb_ends(iv: Interval, pts: set) -> Interval:
@@ -1427,11 +1405,12 @@ def _reduce_removal_piece(core: SetExpr, removals: tuple) -> list[Piece]:
     """The one place that reduces the removals of a core that keeps them: an
     interval, rationals or a family tail.  Each is clipped to the core's box
     (_core_intersect), and a family tail's members that the clip takes one
-    by one turn solid.  Points split the core, solids (and rationals from
-    rationals) subtract exactly, and the thin rest stays, removed rationals
-    merged so that equal sets compare equal.  A family core is refused when
-    its clipped removals hold a solid and a family tail on its own limit and
-    side: the solid cuts its tail, and each shorter tail could be cut again."""
+    by one turn solid.  The core is clipped to the gaps (_outside) between
+    the solids (and rationals from rationals) and the points it holds, and
+    the thin rest stays, removed rationals merged so that equal sets compare
+    equal.  A family core is refused when its clipped removals hold a solid
+    and a family tail on its own limit and side: the solid cuts its tail,
+    and each shorter tail could be cut again."""
     box = core.box()
     clipped = [part.core for r in removals for part in _core_intersect(r, box)]
     cut = isinstance(core, IntervalFamily) and any(isinstance(r, Interval) for r in clipped)
@@ -1439,14 +1418,11 @@ def _reduce_removal_piece(core: SetExpr, removals: tuple) -> list[Piece]:
         raise UnsupportedIntersection("family tails interleave; not reducible")  # [:2]: limit and side
     rats = [RationalsIn(iv) for iv in merge_intervals([r.iv for r in clipped if isinstance(r, RationalsIn)])]
     cleaned = {r for r in clipped if not isinstance(r, RationalsIn)}.union(rats)
-    pts = tuple(sorted({p for r in cleaned if isinstance(r, FinitePoints) for p in r.points}))
+    pts = {p for r in cleaned if isinstance(r, FinitePoints) for p in r.points}
     exact = (Interval, RationalsIn) if isinstance(core, RationalsIn) else (Interval,)
-    solids = [r for r in cleaned if isinstance(r, exact)]  # any order gives the same parts
+    holes = [(r.box().low, r.box().high) for r in cleaned if isinstance(r, exact)] + _point_holes(core, pts)
     thin = tuple(r for r in cleaned if not isinstance(r, (FinitePoints, *exact)))
-    pieces = _subtract_points(core, pts) if pts else [Piece(core, ())]
-    for s in solids:
-        pieces = [w for p in pieces for w in _piece_subtract_atom(p, s)]
-    return _attach_removals(pieces, thin)
+    return _attach_removals(_outside(core, sorted(holes)), thin)
 
 
 # --- normalization entry points -----------------------------------------------
